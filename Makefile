@@ -31,7 +31,7 @@ check-imports:
 # micro-benchmarks) once and records ns/op, allocs/op and all reported
 # simulated-result metrics as BENCH_<date>.json, keeping the perf
 # trajectory machine-readable across PRs (see PERF.md).
-BENCH_PATTERN = 'BenchmarkFig|BenchmarkKernelQueue|BenchmarkMessageHop|BenchmarkShardScaling|BenchmarkGraphRoute|BenchmarkReactiveTransport'
+BENCH_PATTERN = 'BenchmarkFig|BenchmarkKernelQueue|BenchmarkMessageHop|BenchmarkGraphRoute|BenchmarkReactiveTransport'
 bench:
 	$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 1x . \
 		| $(GO) run ./cmd/benchjson > BENCH_$(DATE).json
@@ -57,7 +57,7 @@ bench:
 # what the current test binary lists, so without the baseline check a new
 # benchmark family could land without ever refreshing BENCH_<date>.json.
 BASELINE = $(lastword $(sort $(shell git ls-files 'BENCH_*.json')))
-BENCH_REQUIRE = BenchmarkShardScaling,BenchmarkGraphRoute,BenchmarkReactiveTransport
+BENCH_REQUIRE = BenchmarkGraphRoute,BenchmarkReactiveTransport
 MAX_REGRESS ?= 50
 MAX_ALLOC_REGRESS ?= 10
 bench-check:

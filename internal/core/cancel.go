@@ -6,8 +6,8 @@ import (
 )
 
 // ArmCancel ties the machine's run to ctx: when ctx is canceled (or its
-// deadline passes), a cooperative cancellation flag shared by every kernel
-// shard is raised and the run stops at the kernel's next checkpoint,
+// deadline passes), a cooperative cancellation flag installed on the
+// kernel is raised and the run stops at the kernel's next checkpoint,
 // returning an error that unwraps to sim.ErrCanceled. The checkpoint is a
 // counter increment per event plus one atomic load every 1024th — and
 // nothing at all on machines that never arm — so arming is safe on hot
@@ -22,7 +22,7 @@ import (
 // The returned release function detaches the watcher from ctx; call it
 // once the run has returned so a later ctx cancellation cannot touch the
 // flag (the flag itself stays installed but is only ever read by this
-// machine's kernels).
+// machine's kernel).
 func (m *Machine) ArmCancel(ctx context.Context) (release func()) {
 	flag := new(atomic.Bool)
 	if ctx.Err() != nil {

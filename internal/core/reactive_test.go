@@ -1,11 +1,16 @@
 package core_test
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 
+	"diva/internal/apps/matmul"
+	"diva/internal/apps/stencil"
 	"diva/internal/core"
 	"diva/internal/decomp"
 	"diva/internal/mesh"
+	"diva/internal/sim"
 )
 
 // Tests of the reactive fault-tolerance mode end to end: timeout-based
@@ -239,5 +244,147 @@ func TestReactiveForkAB(t *testing.T) {
 				t.Errorf("fork fault stats diverged:\n%+v\n%+v", fsA, fsB)
 			}
 		})
+	}
+}
+
+// reactiveTraj is everything a reactive run exposes that must repeat.
+type reactiveTraj struct {
+	fp      uint64
+	fs      mesh.FaultStats
+	elapsed float64
+}
+
+// TestReactiveShardInvariance: randomized fault schedules × transport
+// tunings × hand-optimized workloads (no data management strategy), each
+// run twice on the one kernel — fingerprints, transport counters and
+// simulated times must be bit-identical. This is the fuzz leg of the determinism claim: timers,
+// per-channel sequences and jitter draws all advance in node event order.
+func TestReactiveShardInvariance(t *testing.T) {
+	cases := []struct {
+		name           string
+		seed           uint64
+		gen            mesh.FaultGen
+		ackUS, backoff float64
+		retries        int
+	}{
+		{"links-fast", 41,
+			mesh.FaultGen{LinkFailures: 2, MeanDownUS: 5000, HorizonUS: 40000}, 500, 2, 3},
+		{"churn-mixed", 97,
+			mesh.FaultGen{LinkFailures: 1, NodeChurn: 2, MeanDownUS: 8000, HorizonUS: 60000}, 1000, 1.5, 2},
+		{"churn-patient", 7,
+			mesh.FaultGen{NodeChurn: 1, MeanDownUS: 20000, HorizonUS: 30000}, 2000, 2, 5},
+	}
+	workloads := []struct {
+		name string
+		run  func(m *core.Machine) (float64, error)
+	}{
+		{"matmul", func(m *core.Machine) (float64, error) {
+			res, err := matmul.RunHandOpt(m, matmul.Config{BlockInts: 16, Seed: 5, Check: true})
+			return res.ElapsedUS, err
+		}},
+		{"stencil", func(m *core.Machine) (float64, error) {
+			res, err := stencil.Run(m, stencil.Config{Iters: 3, HaloInts: 32, Check: true, Seed: 5})
+			return res.ElapsedUS, err
+		}},
+	}
+	for _, tc := range cases {
+		for _, w := range workloads {
+			t.Run(tc.name+"/"+w.name, func(t *testing.T) {
+				run := func() reactiveTraj {
+					gen := tc.gen
+					m, err := core.NewMachine(core.Config{
+						Rows: 4, Cols: 4, Seed: tc.seed, Tree: decomp.Ary4,
+						FaultGen:     &gen,
+						Recovery:     core.RecoveryReactive,
+						AckTimeoutUS: tc.ackUS, MaxRetries: tc.retries, Backoff: tc.backoff,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					elapsed, err := w.run(m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return reactiveTraj{m.K.Fingerprint(), m.Net.FaultStats(), elapsed}
+				}
+				base := run()
+				if base.fs.AckMsgs == 0 {
+					t.Fatalf("transport idle — the workload exercised nothing: %+v", base.fs)
+				}
+				if got := run(); got != base {
+					t.Errorf("re-run diverged:\n%+v\n%+v", got, base)
+				}
+			})
+		}
+	}
+}
+
+// TestReactiveDeterminismAfterCancel: canceling a reactive run mid-outage —
+// with retransmission timers pending — reports a *CanceledError, leaves the
+// machine un-snapshottable, and keeps a snapshot taken before the canceled
+// run fully valid: two forks of it replay the remainder bit-identically.
+func TestReactiveDeterminismAfterCancel(t *testing.T) {
+	sched := mesh.FaultSchedule{
+		{AtUS: 200, Kind: mesh.FaultNodeDown, A: 5},
+		{AtUS: 500000, Kind: mesh.FaultNodeUp, A: 5},
+	}
+	m := newReactiveMachine(t, testStrategies()["fixedhome"], sched)
+	v := m.AllocAt(0, 64, 0)
+	workload := func(mm *core.Machine) error {
+		return mm.Run(func(p *core.Proc) {
+			for r := 0; r < 8; r++ {
+				if p.ID == (r*5)%mm.P() {
+					p.Read(v)
+					p.Write(v, r+1)
+				}
+				p.Barrier()
+				p.Read(v)
+				p.Barrier()
+			}
+		})
+	}
+
+	// Snapshot the fresh (quiescent) machine, then cancel the run from an
+	// event deep inside the outage: the flag is raised at t=5000 and the
+	// kernel stops at the next checkpoint — with node 5 cut off and its
+	// traffic outstanding on retransmission timers.
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flag atomic.Bool
+	m.K.SetCancel(&flag)
+	m.K.At(5000, func() { flag.Store(true) })
+	err = workload(m)
+	var ce *sim.CanceledError
+	if !errors.As(err, &ce) || !errors.Is(err, sim.ErrCanceled) {
+		t.Fatalf("canceled run returned %v, want *sim.CanceledError", err)
+	}
+	if ce.Events == 0 {
+		t.Fatalf("canceled at %d events, want > 0", ce.Events)
+	}
+	if n := m.K.PendingTimers(); n == 0 {
+		t.Fatal("no retransmission timers pending at cancellation — the test lost its point")
+	}
+	if _, err := m.Snapshot(); err == nil {
+		t.Fatal("canceled (non-quiescent) machine produced a snapshot")
+	}
+
+	// The pre-cancel snapshot is untouched: two forks replay the full
+	// workload (across the outage and its heal) identically.
+	rest := func() (uint64, mesh.FaultStats) {
+		fork, err := snap.Fork(core.ForkOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := workload(fork); err != nil {
+			t.Fatal(err)
+		}
+		return fork.K.Fingerprint(), fork.Net.FaultStats()
+	}
+	fpA, fsA := rest()
+	fpB, fsB := rest()
+	if fpA != fpB || fsA != fsB {
+		t.Errorf("forks of the pre-cancel snapshot diverged:\n%x %+v\n%x %+v", fpA, fsA, fpB, fsB)
 	}
 }

@@ -74,7 +74,6 @@ const (
 type Snapshot struct {
 	cfg     Config
 	kern    sim.KernelState
-	cluster *sim.ClusterState
 	net     *mesh.NetworkState
 	rng     xrand.State
 	vars    []varSnap
@@ -138,10 +137,8 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 			return nil, fmt.Errorf("diva: snapshot with an active transaction on variable %d", v.ID)
 		}
 	}
-	for _, st := range m.bar.state {
-		if len(st) > 0 {
-			return nil, fmt.Errorf("diva: snapshot with a partial barrier arrival")
-		}
+	if len(m.bar.state) > 0 {
+		return nil, fmt.Errorf("diva: snapshot with a partial barrier arrival")
 	}
 	for i, f := range m.bar.waiting {
 		if f != nil {
@@ -155,23 +152,11 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 			return nil, fmt.Errorf("diva: strategy %q does not support snapshot/fork", m.Strat.Name())
 		}
 	}
-	s := &Snapshot{rng: m.RNG.State()}
-	// Pin the resolved shard count so a fork never re-reads DIVA_SHARDS.
-	s.cfg = m.Cfg
-	s.cfg.Shards = m.Shards()
-	if m.cluster != nil {
-		cs, err := m.cluster.SnapshotState()
-		if err != nil {
-			return nil, fmt.Errorf("diva: snapshot: %w", err)
-		}
-		s.cluster = &cs
-	} else {
-		ks, err := m.K.SnapshotState()
-		if err != nil {
-			return nil, fmt.Errorf("diva: snapshot: %w", err)
-		}
-		s.kern = ks
+	ks, err := m.K.SnapshotState()
+	if err != nil {
+		return nil, fmt.Errorf("diva: snapshot: %w", err)
 	}
+	s := &Snapshot{cfg: m.Cfg, kern: ks, rng: m.RNG.State()}
 	ns, err := m.Net.SnapshotState()
 	if err != nil {
 		return nil, fmt.Errorf("diva: snapshot: %w", err)
@@ -223,17 +208,7 @@ func (s *Snapshot) Fork(o ForkOptions) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("diva: fork: %w", err)
 	}
-	if m.Shards() != cfg.Shards {
-		return nil, fmt.Errorf("diva: fork resolved %d shards, snapshot has %d", m.Shards(), cfg.Shards)
-	}
-	if s.cluster != nil {
-		if m.cluster == nil {
-			return nil, fmt.Errorf("diva: fork of a sharded snapshot built a sequential machine")
-		}
-		if err := m.cluster.RestoreState(*s.cluster); err != nil {
-			return nil, fmt.Errorf("diva: fork: %w", err)
-		}
-	} else if err := m.K.RestoreState(s.kern); err != nil {
+	if err := m.K.RestoreState(s.kern); err != nil {
 		return nil, fmt.Errorf("diva: fork: %w", err)
 	}
 	if err := m.Net.RestoreState(s.net); err != nil {

@@ -57,7 +57,6 @@ type WireSnapshotter interface {
 // time.
 type SnapshotWire struct {
 	Kern    sim.KernelState
-	Cluster *sim.ClusterState
 	Net     *mesh.NetworkWire
 	RNG     xrand.State
 	Vars    []VarWire
@@ -93,7 +92,7 @@ type CacheWire struct {
 // Wire converts the snapshot to its serializable form. It fails when the
 // strategy blob or a cache key has no wire representation.
 func (s *Snapshot) Wire() (*SnapshotWire, error) {
-	w := &SnapshotWire{Kern: s.kern, Cluster: s.cluster, Net: s.net.Wire(), RNG: s.rng}
+	w := &SnapshotWire{Kern: s.kern, Net: s.net.Wire(), RNG: s.rng}
 	w.Vars = make([]VarWire, len(s.vars))
 	for i := range s.vars {
 		vs := &s.vars[i]
@@ -137,29 +136,13 @@ func (s *Snapshot) Wire() (*SnapshotWire, error) {
 // SnapshotFromWire reconstructs a Snapshot from its wire form, pinning the
 // Config of m — a machine freshly built from the same machine description
 // the wire was captured under (the store keeps that description alongside
-// the wire data). The wire's shape is validated against m: shard count,
-// topology size, barrier width, strategy presence. m itself is not
+// the wire data). The wire's shape is validated against m: topology size, barrier width, strategy presence. m itself is not
 // touched; it only donates the configuration.
 func SnapshotFromWire(m *Machine, w *SnapshotWire) (*Snapshot, error) {
 	if w.Net == nil {
 		return nil, fmt.Errorf("diva: wire snapshot has no network state")
 	}
-	s := &Snapshot{rng: w.RNG}
-	s.cfg = m.Cfg
-	s.cfg.Shards = m.Shards()
-	if w.Cluster != nil {
-		if len(w.Cluster.Kernels) != s.cfg.Shards {
-			return nil, fmt.Errorf("diva: wire snapshot has %d shards, machine resolves %d", len(w.Cluster.Kernels), s.cfg.Shards)
-		}
-		cs := *w.Cluster
-		cs.Kernels = append([]sim.KernelState(nil), w.Cluster.Kernels...)
-		s.cluster = &cs
-	} else {
-		if s.cfg.Shards != 1 {
-			return nil, fmt.Errorf("diva: sequential wire snapshot, machine resolves %d shards", s.cfg.Shards)
-		}
-		s.kern = w.Kern
-	}
+	s := &Snapshot{cfg: m.Cfg, kern: w.Kern, rng: w.RNG}
 	net, err := w.Net.State()
 	if err != nil {
 		return nil, err

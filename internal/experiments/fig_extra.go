@@ -32,7 +32,6 @@ func (r *Runner) AblationReplacement() error {
 			diva.WithTree(decomp.Ary2),
 			diva.WithStrategyName("at2"),
 			diva.WithCacheCapacity(capacity),
-			diva.WithShards(r.Shards),
 			diva.WithConcurrent(r.concurrent),
 		)
 		col := metrics.New(m.Net)
@@ -91,7 +90,6 @@ func (r *Runner) AblationRemap() error {
 			diva.WithSeed(r.Seed),
 			diva.WithTree(decomp.Ary4),
 			diva.WithStrategy(accesstree.FactoryOpts(mode.opts)),
-			diva.WithShards(r.Shards),
 			diva.WithConcurrent(r.concurrent),
 		)
 		col := metrics.New(m.Net)

@@ -48,7 +48,6 @@ func (r *Runner) runFaultCell(topo string, side int, rate faultRate, strat strin
 		diva.WithTopologyName(topo, side, side),
 		diva.WithSeed(r.Seed),
 		diva.WithStrategyName(strat),
-		diva.WithShards(r.Shards),
 		diva.WithConcurrent(concurrent),
 		diva.WithFaultGen(fault.Gen{
 			LinkFailures: rate.links, NodeChurn: rate.churn,
@@ -148,7 +147,7 @@ func (r *Runner) FigFaults() error {
 	}
 	table(r.W, rows)
 	fmt.Fprintln(r.W, "\nFaults are applied in the network's deterministic routing order, so")
-	fmt.Fprintln(r.W, "every cell is bit-reproducible at any kernel shard count. Re-routes ride")
+	fmt.Fprintln(r.W, "every cell is bit-reproducible from its seed. Re-routes ride")
 	fmt.Fprintln(r.W, "the live spanning forest (stretch > 1); messages into a partition are")
 	fmt.Fprintln(r.W, "held until the schedule heals it and retransmitted (retry bytes). Both")
 	fmt.Fprintln(r.W, "strategies slow down by similar factors — the schedule hits links, not")

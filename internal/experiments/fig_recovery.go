@@ -35,7 +35,6 @@ func (r *Runner) runRecoveryCell(topo string, side int, reactive bool, strat str
 		diva.WithTopologyName(topo, side, side),
 		diva.WithSeed(r.Seed),
 		diva.WithStrategyName(strat),
-		diva.WithShards(r.Shards),
 		diva.WithConcurrent(concurrent),
 		diva.WithFaultGen(fault.Gen{
 			LinkFailures: 2, NodeChurn: 1,
@@ -138,6 +137,6 @@ func (r *Runner) FigRecovery() error {
 	fmt.Fprintln(r.W, "where the network is healthy — that is the standing cost of detection —")
 	fmt.Fprintln(r.W, "and pay detection latency where it is not. Both modes are deterministic:")
 	fmt.Fprintln(r.W, "timeouts and backoff jitter are drawn from dedicated seed-derived RNG")
-	fmt.Fprintln(r.W, "streams, so every cell is bit-reproducible at any kernel shard count.")
+	fmt.Fprintln(r.W, "streams, so every cell is bit-reproducible from its seed.")
 	return nil
 }

@@ -44,10 +44,6 @@ type Runner struct {
 	// per figure and emitted in figure order, so the bytes written to W
 	// are identical to a sequential run's.
 	Workers int
-	// Shards is the event-kernel shard count per machine, passed through
-	// to diva.WithShards (0 reads $DIVA_SHARDS; figures are identical for
-	// every count).
-	Shards int
 	// Recovery selects the fault-tolerance mode of the degradation sweep's
 	// machines ("" or "oracle": the default oracle mode; "reactive": the
 	// timeout-based mode with its default transport tuning). The dedicated
@@ -214,7 +210,7 @@ func (r *Runner) runParallel(names []string) error {
 			// rows.
 			sub := &Runner{
 				W: &results[i].buf, Quick: r.Quick, Seed: r.Seed,
-				Workers: r.Workers, Shards: r.Shards, Recovery: r.Recovery,
+				Workers: r.Workers, Recovery: r.Recovery,
 				pool: r.pool, holding: true,
 				concurrent: true, bhCache: r.bhCache,
 			}
@@ -249,7 +245,6 @@ func (r *Runner) machineConc(rows, cols int, f core.Factory, spec decomp.Spec, c
 		diva.WithSeed(r.Seed),
 		diva.WithTree(spec),
 		diva.WithStrategy(f),
-		diva.WithShards(r.Shards),
 		diva.WithConcurrent(r.concurrent || concurrent),
 	)
 }

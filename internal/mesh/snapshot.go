@@ -12,16 +12,13 @@ import (
 // machine snapshot/fork. The capture is only legal at kernel quiescence —
 // no messages in flight, no processes blocked in Recv — which the machine
 // layer verifies before calling in here; the network-level checks below
-// are the defensive remainder (inbox waiters, deferred sends, an open
-// inline journal).
+// are the defensive remainder (inbox waiters, an open inline journal).
 //
 // Deliberately NOT captured, because a fork starting fresh is provably
 // indistinguishable: the Msg free lists (recycled messages are zeroed on
 // acquire, their identity never observable), the route memo (a pure
 // function of the topology, rebuilt lazily — and per fork, so concurrently
-// running forks never share the lazily-appended slab), and the per-shard
-// send counters (folded into the global counters here; SendStats only ever
-// reports the sum).
+// running forks never share the lazily-appended slab).
 
 // NetworkState is a deep copy of a Network's mutable simulated state. It is
 // immutable after capture; any number of forks can restore from one.
@@ -77,16 +74,11 @@ type inboxState struct {
 }
 
 // SnapshotState captures the network's state. It fails when state that
-// cannot be captured is live: processes blocked in Recv, deferred
-// cross-shard sends awaiting replay, or an open inline journal.
+// cannot be captured is live: processes blocked in Recv or an open inline
+// journal.
 func (nw *Network) SnapshotState() (*NetworkState, error) {
 	if nw.ilj.active {
 		return nil, fmt.Errorf("mesh: inline journal open")
-	}
-	for i := range nw.defSh {
-		if nw.defCur[i] != 0 || len(nw.defSh[i]) > 0 {
-			return nil, fmt.Errorf("mesh: shard %d has deferred sends awaiting replay", i)
-		}
 	}
 	st := &NetworkState{
 		links:     append([]link(nil), nw.links...),
@@ -99,15 +91,6 @@ func (nw *Network) SnapshotState() (*NetworkState, error) {
 	if nw.faults != nil {
 		st.faultCursor = nw.faults.cursor
 		st.faultStats = nw.faults.stats
-	}
-	// Fold the per-shard counters of in-window node-local sends into the
-	// global arrays: SendStats reports the sum, so the split is invisible.
-	for i := range nw.statSh {
-		sh := &nw.statSh[i]
-		for k := range sh.msgs {
-			st.sendMsgs[k] += sh.msgs[k]
-			st.sendBytes[k] += sh.bytes[k]
-		}
 	}
 	if r := nw.react; r != nil {
 		rc := &reactCapture{stats: r.base, nodes: make([]reactNodeCap, len(r.nodes))}

@@ -238,6 +238,13 @@ func TestValidationErrors(t *testing.T) {
 		t.Errorf("unknown field: status %d: %s", resp.StatusCode, body)
 	}
 
+	// A body still carrying the retired "shards" field is rejected, not
+	// silently run.
+	resp, body = post(t, ts, `{"workload":{"name":"stencil"},"shards":2}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "shards") {
+		t.Errorf("removed shards field: status %d: %s", resp.StatusCode, body)
+	}
+
 	resp, body = post(t, ts, `{"workload":{"name":"matmul"},"topology":"ring"}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid spec: status %d: %s", resp.StatusCode, body)

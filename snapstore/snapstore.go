@@ -41,7 +41,7 @@ import (
 // magic is the file format version header. Bump the trailing digit on any
 // incompatible layout change; old files then fail with a clear error
 // instead of a gob decode panic.
-const magic = "DIVASNP1"
+const magic = "DIVASNP2"
 
 const fileExt = ".snap"
 
@@ -100,9 +100,7 @@ func (s *Store) path(handle string) string {
 // Save persists snap under handle, atomically: the file appears complete
 // or not at all, and an existing file under the same handle is replaced
 // atomically. sp must be the run description the snapshot was captured
-// under; its shard count is pinned to the snapshot's actual shape so a
-// later Load — possibly in a different environment — rebuilds the same
-// machine.
+// under, so a later Load rebuilds the same machine.
 func (s *Store) Save(handle string, sp spec.Spec, snap *diva.Snapshot) error {
 	if err := checkHandle(handle); err != nil {
 		return err
@@ -111,13 +109,7 @@ func (s *Store) Save(handle string, sp spec.Spec, snap *diva.Snapshot) error {
 	if err != nil {
 		return err
 	}
-	sp = sp.Normalized()
-	if w.Cluster != nil {
-		sp.Shards = len(w.Cluster.Kernels)
-	} else {
-		sp.Shards = 1
-	}
-	specJSON, err := json.Marshal(sp)
+	specJSON, err := json.Marshal(sp.Normalized())
 	if err != nil {
 		return fmt.Errorf("snapstore: marshal spec: %w", err)
 	}
@@ -186,7 +178,7 @@ func (s *Store) Has(handle string) bool {
 // rebuilding the machine from the stored spec, and grafting the persisted
 // state onto it. The returned snapshot forks bit-identically to the live
 // snapshot Save was given, and the returned spec is the stored run
-// description (shard count pinned). extra machine options are applied
+// description. extra machine options are applied
 // after the spec-derived ones; servers pass diva.WithConcurrent(true).
 func (s *Store) Load(handle string, extra ...diva.Option) (spec.Spec, *diva.Snapshot, error) {
 	var sp spec.Spec

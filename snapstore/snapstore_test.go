@@ -1,14 +1,15 @@
 // Disk A/B tests for the snapshot store: a snapshot saved to disk, loaded
 // back — through a fresh Store, as after a process restart — and forked
 // must replay the query workload bit-identically to a fork of the live
-// snapshot, across the topology × strategy matrix, under kernel sharding,
-// with bounded caches, and with pointer-heavy variable payloads
+// snapshot, across the topology × strategy matrix, on hand-optimized
+// machines, with bounded caches, and with pointer-heavy variable payloads
 // (Barnes-Hut). Plus the crash-consistency format checks: checksum,
-// truncation, stray temp files.
+// truncation, an outdated format version, stray temp files.
 package snapstore_test
 
 import (
-	"fmt"
+	"encoding/binary"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -116,14 +117,10 @@ func checkDiskAB(t *testing.T, sp spec.Spec, query diva.Workload) {
 		t.Errorf("fork from disk diverged from fork from live snapshot:\n disk: %+v\n live: %+v", got, base)
 	}
 
-	// The stored spec pins the resolved shard count, so a reload in any
-	// environment rebuilds the same machine shape.
-	wantShards := sp.Normalized().Shards
-	if wantShards == 0 {
-		wantShards = 1
-	}
-	if spLoaded.Shards != wantShards {
-		t.Errorf("stored spec has shards=%d, want %d", spLoaded.Shards, wantShards)
+	// The stored spec is the run description itself: re-deriving the
+	// handle from it gives the handle it was saved under.
+	if got := snapstore.Handle(spLoaded); got != handle {
+		t.Errorf("stored spec hashes to handle %s, saved under %s", got, handle)
 	}
 
 	// Saving the same snapshot again replaces the file atomically and
@@ -162,18 +159,14 @@ func TestDiskABDSM(t *testing.T) {
 	}
 }
 
-// TestDiskABHandOpt pins the disk round trip on strategy-free machines
-// under kernel sharding: the wire form carries the full cluster state.
+// TestDiskABHandOpt pins the disk round trip on strategy-free machines.
 func TestDiskABHandOpt(t *testing.T) {
-	query := diva.BitonicHandOpt(diva.BitonicConfig{KeysPerProc: 32, Check: true, Seed: 9})
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			sp := spec.Spec{Topology: "mesh", Rows: 8, Cols: 8, Tree: "2-ary", Seed: 1999, Shards: shards}
-			sp.Workload = spec.Workload{Name: "stencil", Iters: 3, Halo: 32, Compute: true, Check: true, Seed: 7}
-			checkDiskAB(t, sp, query)
-		})
-	}
+	// One machine shape: a single kernel (shards=1).
+	t.Run("shards=1", func(t *testing.T) {
+		sp := spec.Spec{Topology: "mesh", Rows: 8, Cols: 8, Tree: "2-ary", Seed: 1999}
+		sp.Workload = spec.Workload{Name: "stencil", Iters: 3, Halo: 32, Compute: true, Check: true, Seed: 7}
+		checkDiskAB(t, sp, diva.BitonicHandOpt(diva.BitonicConfig{KeysPerProc: 32, Check: true, Seed: 9}))
+	})
 }
 
 // TestDiskABBoundedCache pins the disk round trip with a bounded cache:
@@ -213,8 +206,8 @@ func TestDiskABReactive(t *testing.T) {
 		sp.Workload = spec.Workload{Name: "matmul", Block: 64, Seed: 1}
 		checkDiskAB(t, sp, diva.Bitonic(diva.BitonicConfig{KeysPerProc: 16, Check: true, Seed: 2}))
 	})
-	t.Run("handopt-sharded", func(t *testing.T) {
-		sp := spec.Spec{Topology: "mesh", Rows: 4, Cols: 4, Tree: "2-ary", Seed: 1999, Shards: 2}
+	t.Run("handopt", func(t *testing.T) {
+		sp := spec.Spec{Topology: "mesh", Rows: 4, Cols: 4, Tree: "2-ary", Seed: 1999}
 		sp.Fault = outage
 		sp.Recovery = spec.RecoveryReactive
 		sp.Workload = spec.Workload{Name: "stencil", Iters: 3, Halo: 32, Compute: true, Check: true, Seed: 7}
@@ -244,8 +237,9 @@ func TestHandleStability(t *testing.T) {
 }
 
 // TestLoadRejectsCorruption pins the crash-consistency checks: a flipped
-// byte, a truncated file and a bad handle all fail loudly; stray temp
-// files are invisible to List.
+// byte, a truncated file, a file of an outdated format version and a bad
+// handle all fail loudly; stray temp files and outdated files are
+// invisible to List.
 func TestLoadRejectsCorruption(t *testing.T) {
 	sp := machineSpec("mesh", "at4", 4, 4)
 	sp.Workload = spec.Workload{Name: "matmul", Block: 64, Seed: 1}
@@ -305,6 +299,21 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := st.Load("0123456789abcdeF"); err == nil {
 		t.Error("non-canonical handle accepted")
+	}
+
+	// A file of the previous format version — checksum intact, only the
+	// magic differs — is rejected by Load and skipped by List.
+	old := append([]byte(nil), data...)
+	copy(old, "DIVASNP1")
+	h := fnv.New64a()
+	h.Write(old[:len(old)-8])
+	binary.BigEndian.PutUint64(old[len(old)-8:], h.Sum64())
+	const oldHandle = "00000000000000aa"
+	if err := os.WriteFile(filepath.Join(dir, oldHandle+".snap"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Load(oldHandle); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("outdated file loaded: err = %v, want bad magic", err)
 	}
 
 	// A stray temp file (crash mid-save) is skipped by List.

@@ -1,6 +1,6 @@
 // Package spec defines the serializable run description of the diva
 // simulator: one JSON-friendly Spec names the machine (topology, strategy,
-// decomposition tree, network timing, seed, shards, cache capacity) and
+// decomposition tree, network timing, seed, cache capacity) and
 // the workload with its knobs. It is the single funnel every run
 // description flows through — the divasim command line, embedding
 // applications, and the HTTP service all build the same Spec and hand it
@@ -42,11 +42,6 @@ type Spec struct {
 	// Seed is the master random seed. Identical specs give bit-identical
 	// runs.
 	Seed uint64 `json:"seed,omitempty"`
-	// Shards is the event-kernel shard count for conservative-parallel
-	// execution; results are identical for every count. 0 means
-	// sequential (unlike diva.WithShards, a Spec never reads the
-	// environment: a serialized run description must not depend on it).
-	Shards int `json:"shards,omitempty"`
 	// CacheCapacity bounds the copy memory per node in bytes; 0 means
 	// unbounded (the paper's default).
 	CacheCapacity int `json:"cache_capacity,omitempty"`
@@ -380,9 +375,6 @@ func (s Spec) machineErrors() []FieldError {
 	if s.Tree != "" && !knownName(TreeNames(), s.Tree) {
 		errs = append(errs, FieldError{"tree",
 			fmt.Sprintf("unknown tree %q (have %s)", s.Tree, strings.Join(TreeNames(), ", "))})
-	}
-	if s.Shards < 0 {
-		errs = append(errs, FieldError{"shards", fmt.Sprintf("must be non-negative, got %d", s.Shards)})
 	}
 	if s.CacheCapacity < 0 {
 		errs = append(errs, FieldError{"cache_capacity", fmt.Sprintf("must be non-negative, got %d", s.CacheCapacity)})

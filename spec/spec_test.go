@@ -52,7 +52,6 @@ func TestValidateFieldErrors(t *testing.T) {
 		Cols:          8,
 		Strategy:      "nope",
 		Tree:          "3-ary",
-		Shards:        -2,
 		CacheCapacity: -3,
 		Net:           &Net{BytesPerUS: 0},
 		Workload:      Workload{Name: "matmul", Block: -5},
@@ -70,7 +69,7 @@ func TestValidateFieldErrors(t *testing.T) {
 		got[f.Field] = true
 	}
 	for _, want := range []string{
-		"topology", "rows", "strategy", "tree", "shards",
+		"topology", "rows", "strategy", "tree",
 		"cache_capacity", "net.bytes_per_us", "workload.block",
 	} {
 		if !got[want] {
@@ -120,7 +119,7 @@ func TestValidateMachineIgnoresWorkload(t *testing.T) {
 func TestJSONRoundTrip(t *testing.T) {
 	s := Spec{
 		Topology: "hypercube", Rows: 4, Cols: 8, Strategy: "at2k4",
-		Tree: "2-4-ary", Seed: 42, Shards: 4, CacheCapacity: 1 << 20,
+		Tree: "2-4-ary", Seed: 42, CacheCapacity: 1 << 20,
 		Net:      &Net{BytesPerUS: 1, HopLatencyUS: 2, StartupSendUS: 3, StartupRecvUS: 4, LocalDeliveryUS: 5, NoBackpressure: true},
 		Workload: Workload{Name: "bitonic", Keys: 128, Compute: true, Check: true, Seed: 9},
 	}
