@@ -402,6 +402,50 @@ func BenchmarkKernelEventChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkProcSwitch measures one process context switch: two processes
+// Yield in turn, so every iteration pops a wakeup and resumes the other
+// process's coroutine. Every 1024th step is a Wait(1) instead: a Yield
+// ping-pong never lets the clock advance, so without it the same-timestamp
+// FIFO would never drain and its growth would dominate the measurement.
+func BenchmarkProcSwitch(b *testing.B) {
+	k := sim.New()
+	steps := func(n int) func(p *sim.Proc) {
+		return func(p *sim.Proc) {
+			for i := 1; i <= n; i++ {
+				if i%1024 == 0 {
+					p.Wait(1)
+				} else {
+					p.Yield()
+				}
+			}
+		}
+	}
+	k.Spawn("a", steps((b.N+1)/2))
+	k.Spawn("b", steps(b.N/2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcSelfWake measures a timed wait with nothing else queued:
+// one process Waits, and its own wakeup is the next event, so every
+// iteration leaves and re-enters the same coroutine.
+func BenchmarkProcSelfWake(b *testing.B) {
+	k := sim.New()
+	k.Spawn("p", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Wait(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // benchKernelQueue measures pure schedule/pop churn through the ladder
 // event queue at a standing population of `size` events: the queue is
 // pre-filled with uniformly spread timestamps and every executed event

@@ -170,9 +170,10 @@ func WithNetParams(p NetParams) Option {
 }
 
 // WithConcurrent marks a machine that runs concurrently with other
-// machines in the same process (parallel experiment sweeps): it disables
-// the kernel's process-wide GOMAXPROCS pin. Simulated results are
-// unaffected.
+// machines in the same process (parallel experiment sweeps or a server):
+// it disables the kernel's process-wide GOMAXPROCS pin, which would
+// serialize them. Simulated results are unaffected; the pin only saves a
+// lone machine wall time and peak memory (measured in PERF.md).
 func WithConcurrent(on bool) Option {
 	return func(o *options) { o.cfg.Concurrent = on }
 }

@@ -11,7 +11,7 @@ import "diva/internal/core"
 //
 // Snapshots are only legal at quiescence (every spawned process finished,
 // no event pending, no transaction in flight): simulated processes are
-// goroutines whose stacks cannot be copied. Machine.Snapshot reports a
+// coroutines whose stacks cannot be copied. Machine.Snapshot reports a
 // descriptive error otherwise.
 type Snapshot = core.Snapshot
 

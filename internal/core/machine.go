@@ -75,8 +75,8 @@ type Config struct {
 	// machines in the same process (parallel experiment sweeps): it
 	// disables the kernel's GOMAXPROCS pin, which is a process-wide
 	// setting and would serialize all of them. Simulation results are
-	// unaffected — the pin is purely a wall-clock optimization for
-	// single-machine runs.
+	// unaffected — the pin only saves wall time and peak memory for
+	// single-machine runs (see sim.Kernel.Run).
 	Concurrent bool
 	// Faults is an explicit fault schedule (link outages and node churn)
 	// applied lazily in the network's global routing order; FaultGen, when

@@ -17,7 +17,7 @@ import (
 // metrics) to continuing the original machine, which the A/B tests pin.
 //
 // Snapshots are only legal at quiescence: simulated processes are
-// goroutines whose stacks cannot be copied, so every process must have
+// coroutines whose stacks cannot be copied, so every process must have
 // finished, no event may be pending, and no transaction may be in flight.
 // The practical shape is "run a warm-up workload to completion, snapshot,
 // fork per query" — and the same capture doubles as a checkpoint for

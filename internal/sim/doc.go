@@ -3,8 +3,8 @@
 //
 // The kernel advances virtual time by executing events from a priority
 // queue. Exactly one thing runs at a time: either an event callback or one
-// process goroutine. Processes hand control back to the kernel whenever they
-// block (Wait, Await, ...), so all executions are serialized and the whole
+// process. Processes hand control back to the kernel whenever they block
+// (Wait, Await, ...), so all executions are serialized and the whole
 // simulation is reproducible — same inputs, same event order, same results.
 //
 // Two execution contexts exist:
@@ -12,7 +12,7 @@
 //   - Event context: callbacks scheduled with At/After/AtCall run inline in
 //     the kernel loop. They must not block. Protocol handlers (message
 //     deliveries) run in this context.
-//   - Process context: goroutines spawned with Spawn. They may block on
+//   - Process context: coroutines spawned with Spawn. They may block on
 //     futures and timed waits. Application programs (one per simulated
 //     processor) run in this context.
 //
@@ -82,54 +82,29 @@
 // (Network.SetTwoStageDelivery is the A/B oracle; the A/B tests pin equal
 // kernel fingerprints across all four queue x pipeline combinations).
 //
-// # The single-rendezvous handoff
+// # Coroutine processes
 //
-// The kernel loop is not pinned to one goroutine. Whichever goroutine
-// currently runs — the one that called Run, or any process goroutine —
-// holds a conceptual baton; it executes the loop (popping events and
-// running event callbacks inline) until it pops a wakeup for a different
-// process. It then hands the baton over with a single send on that
-// process's buffered resume channel and blocks on (or, for a finished
-// process, exits instead of) its own rendezvous. A full context switch
-// therefore costs exactly one channel rendezvous — one futex wake plus one
-// sleep — instead of the two of the classic park/resume ping-pong through a
-// dedicated scheduler goroutine, and a process that parks and is the next
-// to wake (a timed Wait with nothing in between, the most common pattern)
-// resumes with zero channel operations: it pops its own wakeup inside the
-// loop it is already running.
+// The kernel loop always runs on the goroutine that called Run, and every
+// process body is a runtime coroutine (iter.Pull). Popping the wakeup of a
+// live process resumes its coroutine (next); the body runs until it blocks
+// — park yields back to the loop — or returns. A context switch is thus
+// one coroutine switch each way, with no channel and no scheduler
+// involvement, and callbacks never run on a process's stack. Kernel state
+// needs no synchronization: the coroutine switch orders every access, also
+// under `go test -race` with several kernels running concurrently
+// (SetPinned(false)).
 //
-// States of a process goroutine:
-//
-//	SPAWNED --(first wakeup popped: baton handed over)--> RUNNING
-//	RUNNING --(park: Wait/WaitUntil/Yield/Await)--------> DRIVING
-//	DRIVING --(pops own wakeup)-------------------------> RUNNING   (0 rendezvous)
-//	DRIVING --(pops another proc's wakeup: hand baton)--> PARKED    (1 rendezvous)
-//	DRIVING --(event it ran killed it: baton to Run)----> EXITED    (unwinds via panic)
-//	PARKED  --(own wakeup popped elsewhere: baton in)---> RUNNING
-//	RUNNING --(body returns)----------------------------> DRIVING (done)
-//	DRIVING (done) --(hand baton or queue drained)------> EXITED
-//	SPAWNED/PARKED --(kill)-----------------------------> EXITED   (unwinds via panic)
-//
-// DRIVING means the goroutine is executing the kernel loop inline (inside
-// park, or as the continuation after its body returned). The goroutine that
-// called Run is a regular participant: it drives until it hands the baton
-// to the first process and then sleeps on the kernel's main channel; it
-// does not take part in per-switch ping-pong at all. The main channel is
-// signaled when the simulation terminates (queue drained or Stop) — or by
-// a driving goroutine that must unwind because an event callback it just
-// executed killed its own process; the Run goroutine then resumes driving
-// the remaining events.
-//
-// Exactly one goroutine is ever runnable per kernel: every handoff is a
-// send to a goroutine that is blocked (or about to block) on its own
-// channel, immediately followed by the sender blocking or exiting. The
-// happens-before chain of those channel operations is also what makes the
-// kernel's state safely visible across the goroutines under `go test
-// -race`, even when several kernels run concurrently (SetPinned(false)).
+// A panic in a process body is re-raised by next on Run's goroutine, like
+// a panic in a callback; Run then unwinds every other live process before
+// the panic leaves it, so a caller that recovers leaks nothing. Wait,
+// WaitUntil, Yield and Await panic when called on a process that is not
+// the one running (from event context, or on another process's Proc).
 //
 // Killing a process (kernel shutdown, deadlock cleanup, tests) marks it
-// done and deposits a kill signal in its resume buffer; the process unwinds
-// with a panic the Spawn wrapper swallows. A killed process that still has
-// a wakeup queued is skipped when that event pops — the event is still
-// folded into the Fingerprint, which hashes every popped event.
+// done and stops its coroutine: the pending yield returns false and the
+// body unwinds, before kill returns, with a panic the Spawn wrapper
+// swallows; a process never started just never runs. A killed process
+// that still has a wakeup queued is skipped when that event pops — the
+// event is still folded into the Fingerprint, which hashes every popped
+// event.
 package sim

@@ -59,6 +59,9 @@ func (f *Future) Await(p *Proc) interface{} {
 	if f.done {
 		return f.val
 	}
+	if p.k.cur != p {
+		p.notRunning("Await")
+	}
 	if f.w0 == nil {
 		f.w0 = p
 	} else {

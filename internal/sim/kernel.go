@@ -89,21 +89,17 @@ type Kernel struct {
 	// Stat is written by the kernel and — for the delivery counters — by
 	// the network layer; read it after Run for hit-rate reporting.
 	Stat Stats
-	// mainCh hands the baton back to the goroutine that called Run: at
-	// termination (queue drained or Stop), or when the goroutine driving
-	// the loop was itself killed by an event it executed and must unwind.
-	// The Run goroutine resumes driving either way; its loop condition
-	// detects termination. Buffered so the send never blocks the sender.
-	mainCh  chan struct{}
+	// cur is the process whose coroutine is running, nil in event
+	// context; blocking calls check it (Proc.notRunning).
+	cur     *Proc
 	stopped bool
 	noPin   bool
 	fp      uint64 // running hash of the executed event order
 
 	// Cooperative cancellation (cancel.go): when cancel is non-nil the
 	// loop polls it every cancelCheckEvery executed events (cancelCtr is
-	// only ever touched by the current baton holder, so it needs no
-	// synchronization); canceled marks a run stopped by the flag rather
-	// than by Stop.
+	// only ever touched by the loop, so it needs no synchronization);
+	// canceled marks a run stopped by the flag rather than by Stop.
 	cancel    *atomic.Bool
 	cancelCtr uint32
 	canceled  bool
@@ -122,7 +118,7 @@ type Kernel struct {
 
 // New returns an empty kernel at time 0.
 func New() *Kernel {
-	k := &Kernel{mainCh: make(chan struct{}, 1), useHeap: defaultHeapQueue}
+	k := &Kernel{useHeap: defaultHeapQueue}
 	k.lq.init()
 	k.lazyq.init()
 	return k
@@ -151,10 +147,10 @@ func (k *Kernel) SetHeapQueue(useHeap bool) {
 	k.useHeap = useHeap
 }
 
-// SetPinned controls whether Run pins GOMAXPROCS to 1 (the default).
-// Disable the pin when several independent kernels run concurrently —
-// e.g. parallel experiment sweeps — where the process-wide GOMAXPROCS
-// setting would serialize all of them.
+// SetPinned controls whether Run pins GOMAXPROCS to 1 (the default); see
+// Run for why. Disable the pin when several independent kernels run
+// concurrently — e.g. parallel experiment sweeps — where the process-wide
+// GOMAXPROCS setting would serialize all of them.
 func (k *Kernel) SetPinned(pinned bool) { k.noPin = !pinned }
 
 // Fingerprint returns a hash chain over the executed event order: every
@@ -366,13 +362,18 @@ func (k *Kernel) After(d Time, fn func()) {
 // returns an error if, at the end, some processes are still blocked — that
 // indicates a deadlock (or a forgotten wake-up) in the simulated system.
 //
-// The simulation is strictly sequential: exactly one goroutine (the caller
-// or one process) runs at any time; see doc.go for the baton-passing
-// handoff that enforces it with one rendezvous per context switch. Running
-// on a single P makes those handoffs cheap scheduler switches instead of
-// cross-core futex wake-ups (~2x end-to-end), so Run pins GOMAXPROCS to 1
-// for its duration and restores it afterwards — unless SetPinned(false)
-// opted out because several kernels run concurrently.
+// The simulation is strictly sequential: the loop runs on the goroutine
+// that called Run and resumes each process as a coroutine (see doc.go), so
+// exactly one process or event callback executes at any time. A panic in
+// either reaches the caller of Run, after every other live process has
+// been unwound.
+//
+// Run pins GOMAXPROCS to 1 for its duration and restores it afterwards —
+// unless SetPinned(false) opted out because several kernels run
+// concurrently. Coroutine switches do not need a single P; the pin stays
+// because a lone machine measured better with it on the repository
+// benchmark: without it, 4–8% more peak memory on the batch workloads and
+// ≈7% slower msgpass-sweep passes (PERF.md).
 func (k *Kernel) Run() error {
 	if !k.noPin {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -383,9 +384,15 @@ func (k *Kernel) Run() error {
 		k.canceled = true
 		k.stopped = true
 	}
-	k.loop(nil, false)
-	if k.canceled {
+	// Every exit unwinds the processes still live — parked at a deadlock
+	// or a cancellation, or all of them when a process or callback
+	// panicked — so no coroutine outlives Run.
+	defer func() {
+		k.cur = nil // left set when a process body panicked
 		k.killAll()
+	}()
+	k.loop()
+	if k.canceled {
 		return &CanceledError{At: k.now, Events: k.Stat.Events}
 	}
 	var blocked []string
@@ -396,33 +403,15 @@ func (k *Kernel) Run() error {
 	}
 	if len(blocked) > 0 {
 		sort.Strings(blocked)
-		k.killAll()
 		return &DeadlockError{Blocked: blocked, At: k.now}
 	}
 	return nil
 }
 
-// loop executes events on the calling goroutine — the current baton holder
-// (see doc.go). self is nil for the Run goroutine; continuation marks a
-// process goroutine whose body already returned and that is driving the
-// loop only until it can hand the baton off. The loop ends when:
-//
-//   - it pops the wakeup of self: return, so park (and thus Wait/Await)
-//     returns into the process body with zero channel operations;
-//   - it pops the wakeup of another process: hand the baton over with one
-//     buffered send; the Run goroutine then sleeps until the baton comes
-//     back (termination, or a killed holder handing over) and resumes
-//     driving, a continuation exits, and a parked process blocks on its
-//     own rendezvous until its wakeup is popped elsewhere — or a kill
-//     unwinds it;
-//   - an event callback it just executed killed self (kill targets the
-//     process whose goroutine is driving): hand the baton to the Run
-//     goroutine and unwind — the body must never resume;
-//   - the queue drains or Stop was called: the Run goroutine returns to
-//     Run; anyone else signals the Run goroutine, then exits
-//     (continuation) or blocks for the inevitable kill (a drained queue
-//     with a parked process is a deadlock).
-func (k *Kernel) loop(self *Proc, continuation bool) {
+// loop executes events until the queue drains or Stop is called. Callbacks
+// run inline; a live process's wakeup resumes its coroutine until the body
+// parks again or returns.
+func (k *Kernel) loop() {
 	for k.Pending() > 0 && !k.stopped {
 		if k.cancel != nil && k.checkCancel() {
 			break // cancellation checkpoint hit; Run returns CanceledError
@@ -435,28 +424,12 @@ func (k *Kernel) loop(self *Proc, continuation bool) {
 		k.Stat.Events++
 		k.fold(&e)
 		if p := e.proc; p != nil {
-			if p.done {
-				continue // killed while runnable; the pop is already folded
+			if !p.done { // a killed process's wakeup is skipped, but folded
+				k.cur = p
+				p.next()
+				k.cur = nil
 			}
-			if p == self {
-				return
-			}
-			p.resume <- procSignal{}
-			if self == nil {
-				// The baton returns on termination or from a killed
-				// holder; either way, resume driving (the loop condition
-				// detects termination).
-				<-k.mainCh
-				continue
-			}
-			if continuation {
-				return // finished body: the goroutine exits
-			}
-			sig := <-self.resume
-			if sig.kill {
-				panic(killed{})
-			}
-			return // our wakeup was popped by another holder; park returns
+			continue
 		}
 		pl := k.takeSlot(e.slot)
 		if pl.hfn != nil {
@@ -464,27 +437,6 @@ func (k *Kernel) loop(self *Proc, continuation bool) {
 		} else {
 			pl.fn()
 		}
-		if self != nil && !continuation && self.done {
-			// The callback we just ran killed us. The body must not resume:
-			// hand the baton to the Run goroutine and unwind. (done is only
-			// ever written in kernel context, which we are, so this read is
-			// race-free.)
-			k.mainCh <- struct{}{}
-			panic(killed{})
-		}
-	}
-	if self == nil {
-		return
-	}
-	k.mainCh <- struct{}{}
-	if continuation {
-		return
-	}
-	// Parked with no wakeup scheduled and nothing left to run: that is a
-	// deadlock; Run (now holding the baton) will kill us.
-	sig := <-self.resume
-	if sig.kill {
-		panic(killed{})
 	}
 }
 
@@ -493,7 +445,7 @@ func (k *Kernel) loop(self *Proc, continuation bool) {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Shutdown force-terminates all live processes. It is safe to call after
-// Run has returned; used by tests to avoid goroutine leaks.
+// Run has returned; used by tests so no parked coroutine outlives them.
 func (k *Kernel) Shutdown() { k.killAll() }
 
 func (k *Kernel) killAll() {

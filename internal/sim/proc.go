@@ -1,30 +1,25 @@
 package sim
 
-import "fmt"
-
-// procSignal is the token handed to a process when it may run. kill makes
-// the process unwind instead of resuming.
-type procSignal struct {
-	kill bool
-}
+import (
+	"fmt"
+	"iter"
+)
 
 // killed is the panic value used to unwind force-terminated processes.
 type killed struct{}
 
-// Proc is a cooperative simulated process. A Proc runs on its own
-// goroutine, but the kernel guarantees that at most one process (or event
-// callback) executes at a time, so process code needs no locking against
-// other simulated activity.
+// Proc is a cooperative simulated process. Its body runs as a runtime
+// coroutine (iter.Pull) that the kernel loop resumes when the process's
+// wakeup pops, and that yields back to the loop whenever the process
+// blocks; only one process or event callback ever executes at a time, so
+// process code needs no locking against other simulated activity.
 type Proc struct {
-	k    *Kernel
-	name string
-	// resume is the process's rendezvous: a context switch to this process
-	// is one buffered send here by the previous baton holder (see doc.go).
-	// Capacity 1 so the sender never sleeps on the handoff — at most one
-	// signal is ever in flight, because kernel code only runs again after
-	// the receiver consumed it.
-	resume chan procSignal
-	done   bool
+	k     *Kernel
+	name  string
+	next  func() (struct{}, bool) // resume the body until it parks or returns
+	stop  func()                  // unwind a parked (or never started) body
+	yield func(struct{}) bool     // the body's side of next; false means killed
+	done  bool
 }
 
 // Name returns the process name given at Spawn.
@@ -39,53 +34,54 @@ func (p *Proc) Now() Time { return p.k.now }
 // Spawn creates a process executing body. The process starts (in FIFO order
 // with other events) at the current simulation time.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan procSignal, 1)}
+	p := &Proc{k: k, name: name}
 	k.procs = append(k.procs, p)
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(killed); ok {
-					return // force-terminated by the kernel; swallow
+				if _, ok := r.(killed); !ok {
+					panic(r) // real bug: next re-raises it on Run's goroutine
 				}
-				panic(r) // real bug: re-raise
 			}
 		}()
-		sig := <-p.resume // wait for first scheduling
-		if sig.kill {
-			panic(killed{})
-		}
+		p.yield = yield
 		body(p)
 		p.done = true
-		// Final hand-back: the goroutine keeps driving the kernel loop as a
-		// continuation. It exits at the next handoff (one rendezvous, the
-		// send) — or with none at all when the queue drains first. In
-		// particular a body that never parks costs at most one rendezvous
-		// total after the initial wakeup.
-		k.loop(p, true)
-	}()
+	})
 	k.atProc(k.now, p)
 	return p
 }
 
-// park hands control back to the kernel and blocks until resumed: the
-// process itself keeps driving the kernel loop until it pops either its own
-// wakeup (park returns directly, no channel operation) or another process's
-// (one rendezvous). Must only be called from process context.
+// park suspends the process until the loop pops its next wakeup. A false
+// yield means kill stopped the coroutine: the body unwinds and never
+// resumes.
 func (p *Proc) park() {
-	p.k.loop(p, false)
+	if !p.yield(struct{}{}) {
+		panic(killed{})
+	}
 }
 
-// kill unblocks a process so it unwinds instead of resuming. Must be called
-// from kernel context (an event callback, or after Run returned): the
-// target is then blocked on — or headed for — <-p.resume with an empty
-// buffer, so the buffered send cannot be reordered with a pending resume.
-// Marking done first makes any still-queued wakeup event a no-op.
+// notRunning panics for a blocking call on p made while p is not the
+// process the kernel is running: parking from event context (or outside
+// Run), or on another process's Proc, would yield from a stack that is not
+// p's. Callers test p.k.cur != p inline, so the check costs one comparison.
+func (p *Proc) notRunning(op string) {
+	if cur := p.k.cur; cur != nil {
+		panic(fmt.Sprintf("sim: %s on %v called from %v", op, p, cur))
+	}
+	panic(fmt.Sprintf("sim: %s on %v called outside any process", op, p))
+}
+
+// kill force-terminates a process: it is marked done, so a still-queued
+// wakeup is skipped, and its coroutine unwinds before kill returns. Must
+// be called from kernel context (an event callback, or after Run
+// returned).
 func (p *Proc) kill() {
 	if p.done {
 		return
 	}
 	p.done = true
-	p.resume <- procSignal{kill: true}
+	p.stop()
 }
 
 // Wait suspends the process for d microseconds of simulated time.
@@ -96,6 +92,9 @@ func (p *Proc) Wait(d Time) {
 	if d == 0 {
 		return
 	}
+	if p.k.cur != p {
+		p.notRunning("Wait")
+	}
 	p.k.atProc(p.k.now+d, p)
 	p.park()
 }
@@ -105,6 +104,9 @@ func (p *Proc) WaitUntil(t Time) {
 	if t <= p.k.now {
 		return
 	}
+	if p.k.cur != p {
+		p.notRunning("WaitUntil")
+	}
 	p.k.atProc(t, p)
 	p.park()
 }
@@ -112,6 +114,9 @@ func (p *Proc) WaitUntil(t Time) {
 // Yield reschedules the process at the current time behind already-queued
 // events. Useful to let pending deliveries run.
 func (p *Proc) Yield() {
+	if p.k.cur != p {
+		p.notRunning("Yield")
+	}
 	p.k.atProc(p.k.now, p)
 	p.park()
 }

@@ -4,7 +4,7 @@ import "fmt"
 
 // This file implements kernel state capture for machine
 // snapshot/fork (core.Machine.Snapshot). A kernel's processes are
-// goroutines, whose stacks cannot be copied, so capture is only legal at
+// coroutines, whose stacks cannot be copied, so capture is only legal at
 // quiescence: no pending events on any tier and no live processes. At that
 // point the kernel's entire observable state is the clock, the sequence
 // counter, the fingerprint chain and the stat counters — the queues are

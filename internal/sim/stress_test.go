@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"errors"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -136,13 +140,14 @@ func TestDeterministicUnderRandomLoad(t *testing.T) {
 	}
 }
 
-// --- kill-during-handoff stress ---
+// --- process kill/panic stress ---
 //
-// The single-rendezvous handoff must preserve the synchronous-kill
-// guarantees of the old two-channel scheduler: once kill() returns, the
-// target never executes user code again, regardless of whether it was
-// parked with no wakeup, runnable with a wakeup queued, or not yet first
-// scheduled (mid-Spawn). These tests run under -race in CI.
+// Kill is synchronous: once kill() returns, the target never executes user
+// code again, regardless of whether it was parked with no wakeup, runnable
+// with a wakeup queued, or not yet first scheduled (mid-Spawn). A panic in
+// a process body or a callback reaches the caller of Run with no process
+// coroutine left behind, and blocking calls made outside their own process
+// panic. These tests run under -race in CI.
 
 // TestKillParkedProc: killing a process blocked on a future unwinds it
 // without resuming the body.
@@ -203,13 +208,13 @@ func TestKillMidSpawn(t *testing.T) {
 	}
 }
 
-// TestKillStressMixed is the randomized kill-during-handoff stress: a churn
+// TestKillStressMixed is the randomized kill stress: a churn
 // of waiting, yielding and future-chained processes with kills injected
 // from event context at random times against parked, runnable and
 // freshly-spawned targets. Two runs of every seed must execute the same
 // event sequence (fingerprint), nobody may run after being killed, and
-// survivors must complete. Run under -race in CI to pin the rendezvous
-// memory ordering.
+// survivors must complete. Run under -race in CI to pin the memory
+// ordering of the coroutine switches.
 func TestKillStressMixed(t *testing.T) {
 	trial := func(seed uint64) (uint64, int) {
 		k := New()
@@ -391,5 +396,175 @@ func TestProcString(t *testing.T) {
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// panicValue runs f and returns the value it panicked with, or nil.
+func panicValue(f func()) (r interface{}) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+// TestPanicReachesRunCaller: a panic in a process body or in an event
+// callback propagates out of Run on the caller's goroutine, where it can
+// be recovered, after every other live process was unwound without
+// resuming — no coroutine goroutine outlives the panic.
+func TestPanicReachesRunCaller(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		boom  func(k *Kernel)
+		value string
+	}{
+		{"body", func(k *Kernel) {
+			k.Spawn("bad", func(p *Proc) {
+				p.Wait(5)
+				panic("body boom")
+			})
+		}, "body boom"},
+		{"callback", func(k *Kernel) {
+			k.At(5, func() { panic("callback boom") })
+		}, "callback boom"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			k := New()
+			fut := NewFuture()
+			resumed := false
+			for _, name := range []string{"parked", "parked2"} {
+				k.Spawn(name, func(p *Proc) {
+					fut.Await(p)
+					resumed = true
+				})
+			}
+			k.Spawn("waiter", func(p *Proc) {
+				p.Wait(10)
+				resumed = true
+			})
+			k.Spawn("unstarted", func(p *Proc) {}) // kick-off still queued at t=0
+			tc.boom(k)
+			if r := panicValue(func() { _ = k.Run() }); r != tc.value {
+				t.Fatalf("recovered %v, want %q", r, tc.value)
+			}
+			if resumed {
+				t.Fatal("a process resumed after the panic")
+			}
+			for _, p := range k.procs {
+				if !p.Done() {
+					t.Fatalf("%v still live after the panic", p)
+				}
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Fatalf("%d goroutines after the panic, want at most %d", n, base)
+			}
+		})
+	}
+}
+
+// TestParkOutsideProcessPanics: Wait, WaitUntil, Yield and Await called
+// from event context, or on another process's Proc, panic with a sim:
+// message before touching the queue, and the run then completes normally.
+func TestParkOutsideProcessPanics(t *testing.T) {
+	ops := []struct {
+		name string
+		call func(p *Proc)
+	}{
+		{"Wait", func(p *Proc) { p.Wait(1) }},
+		{"WaitUntil", func(p *Proc) { p.WaitUntil(p.Now() + 1) }},
+		{"Yield", func(p *Proc) { p.Yield() }},
+		{"Await", func(p *Proc) { NewFuture().Await(p) }},
+	}
+	for _, op := range ops {
+		for _, from := range []string{"event", "proc"} {
+			t.Run(op.name+"/"+from, func(t *testing.T) {
+				k := New()
+				fut := NewFuture()
+				finished := false
+				target := k.Spawn("target", func(p *Proc) {
+					fut.Await(p)
+					finished = true
+				})
+				var r interface{}
+				misuse := func() { r = panicValue(func() { op.call(target) }) }
+				if from == "event" {
+					k.At(1, misuse)
+				} else {
+					k.Spawn("other", func(p *Proc) {
+						p.Wait(1)
+						misuse()
+					})
+				}
+				k.At(2, func() { fut.Complete(k, nil) })
+				if err := k.Run(); err != nil {
+					t.Fatalf("run after the misuse: %v", err)
+				}
+				msg, _ := r.(string)
+				if !strings.HasPrefix(msg, "sim: "+op.name+" on proc(target) called ") {
+					t.Fatalf("misuse panicked with %v", r)
+				}
+				if !finished || k.Now() != 2 {
+					t.Fatalf("target finished=%v at t=%v, want true at 2", finished, k.Now())
+				}
+			})
+		}
+	}
+}
+
+// TestNoCoroutineLeak: every way a run can end with live processes —
+// Shutdown before or during a run, a deadlock, a cancellation — unwinds
+// their coroutines, so the goroutine count returns to its value before
+// Spawn. A coroutine exits synchronously inside kill, so the count is read
+// at once; it may only read lower, when a goroutine of the test framework
+// (a finished subtest's) exits meanwhile.
+func TestNoCoroutineLeak(t *testing.T) {
+	spawn := func(k *Kernel) {
+		fut := NewFuture()
+		for i := 0; i < 4; i++ {
+			k.Spawn("parked", func(p *Proc) { fut.Await(p) })
+			k.Spawn("yield", func(p *Proc) {
+				for {
+					p.Yield()
+				}
+			})
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(k *Kernel) error
+		want func(error) bool
+	}{
+		{"shutdown-before-run", func(k *Kernel) error {
+			k.Shutdown()
+			return nil
+		}, func(err error) bool { return err == nil }},
+		{"shutdown-from-event", func(k *Kernel) error {
+			k.At(0, func() { k.Shutdown() })
+			return k.Run()
+		}, func(err error) bool { return err == nil }},
+		{"deadlock", func(k *Kernel) error {
+			k.At(0, func() { k.Stop() })
+			return k.Run()
+		}, func(err error) bool {
+			var de *DeadlockError
+			return errors.As(err, &de)
+		}},
+		{"canceled", func(k *Kernel) error {
+			flag := new(atomic.Bool)
+			k.SetCancel(flag)
+			k.At(0, func() { flag.Store(true) })
+			return k.Run()
+		}, func(err error) bool { return errors.Is(err, ErrCanceled) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			k := New()
+			spawn(k)
+			if err := tc.run(k); !tc.want(err) {
+				t.Fatalf("run returned %v", err)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Fatalf("%d goroutines after %s, want at most %d", n, tc.name, base)
+			}
+		})
 	}
 }
