@@ -325,6 +325,48 @@ func benchReactiveTransport(b *testing.B, ackUS float64) {
 func BenchmarkReactiveTransportSteady(b *testing.B) { benchReactiveTransport(b, 5000) }
 func BenchmarkReactiveTransportStorm(b *testing.B)  { benchReactiveTransport(b, 100) }
 
+// BenchmarkTimerChurn measures the kernel timer tier at the size the
+// reactive Barnes-Hut jobs run it: 200 pending timers (their mean is
+// 130–230, their peak about 1,100). Each op is one timer firing; its
+// callback re-arms its own timer and cancels and re-arms another one, as
+// an ack does — two pushes and one cancel per fire, between the mixes of
+// those jobs (1.4–2.4 pushes and 0.4–1.4 cancels per fire). Not part of
+// `make bench`: at -benchtime 1x it would time a single fire.
+func BenchmarkTimerChurn(b *testing.B) {
+	const pending = 200
+	k := sim.New()
+	ids := make([]sim.TimerID, pending)
+	slot := make([]int, pending)
+	rng := uint64(1999)
+	delay := func() sim.Time {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return 1000 + sim.Time(rng>>54) // [1000, 2024) us
+	}
+	fired := 0
+	var fire func(interface{})
+	fire = func(arg interface{}) {
+		if fired++; fired >= b.N {
+			k.Stop()
+			return
+		}
+		i := *arg.(*int)
+		ids[i] = k.TimerAt(k.Now()+delay(), fire, arg)
+		j := (i + 1 + int(rng>>32)%(pending-1)) % pending
+		k.CancelTimer(ids[j])
+		ids[j] = k.TimerAt(k.Now()+delay(), fire, &slot[j])
+	}
+	for i := range ids {
+		slot[i] = i
+		ids[i] = k.TimerAt(delay(), fire, &slot[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(k.PendingTimers()), "pending")
+}
+
 // --- Figure 11: Barnes-Hut scaling with N = 200·P ---
 
 func BenchmarkFig11BarnesHutScale8x16AccessTree4K8(b *testing.B) {

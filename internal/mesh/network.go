@@ -61,8 +61,13 @@ type Msg struct {
 	Size     int
 	Kind     uint8
 	pooled   bool
-	Tag      int
-	Payload  interface{}
+	// xid is the reactive transport's outstanding-record index
+	// (reactive.go), carried by every transmission of a message and
+	// echoed by its acks; it sits in the padding after pooled, so the
+	// struct stays 64 bytes.
+	xid     uint32
+	Tag     int
+	Payload interface{}
 
 	// Reactive-transport header (reactive.go), zero in oracle mode: the
 	// per-channel sequence number stamped on first transmission (0 = not

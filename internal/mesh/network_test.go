@@ -2,9 +2,20 @@ package mesh
 
 import (
 	"testing"
+	"unsafe"
 
 	"diva/internal/sim"
 )
+
+// TestMsgLayout pins the message header at 64 bytes: every hop of the
+// oracle delivery path copies Msg values, so a header field that grows
+// the struct past one cache line costs every message, reactive mode or
+// not.
+func TestMsgLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Msg{}); n != 64 {
+		t.Fatalf("unsafe.Sizeof(Msg{}) = %d, want 64", n)
+	}
+}
 
 // testParams gives round numbers for hand-computable timing checks.
 func testParams() Params {

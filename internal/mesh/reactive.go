@@ -118,9 +118,15 @@ type GiveUp struct {
 type GiveUpHandler func(g *GiveUp) (newDst int, action GiveUpAction)
 
 // xmit is one outstanding (unacknowledged) transmission at its sender.
-// A live record always has exactly one pending retransmission timer, so
-// at kernel quiescence no records exist — snapshots capture none.
+// Records live in the network-wide slab reactState.xs at index id, which
+// every transmission of the message and its acks carry as Msg.xid, so an
+// ack finds its record without a lookup. A released record keeps only its
+// id; its zero xseq can never match an ack, since channel sequences start
+// at 1. A live record always has exactly one pending retransmission
+// timer, so at kernel quiescence no records exist — snapshots capture
+// none.
 type xmit struct {
+	id          uint32 // slab index, fixed for the record's lifetime
 	src, dst    int
 	size        int
 	kind        uint8
@@ -137,11 +143,15 @@ type xmit struct {
 // recvChan is one directed channel's receiver-side dedup state: every
 // sequence at or below floor was delivered; seen holds the delivered
 // sequences above it (out-of-order arrivals, bounded by the outstanding
-// window).
+// window). A channel that never delivered has floor 0 and no seen set;
+// every channel that delivered has one of the two.
 type recvChan struct {
 	floor uint32
 	seen  map[uint32]struct{}
 }
+
+// used reports whether the channel has delivered anything.
+func (c *recvChan) used() bool { return c.floor != 0 || len(c.seen) != 0 }
 
 // accept reports whether xseq is fresh, recording it.
 func (c *recvChan) accept(xseq uint32) bool {
@@ -170,14 +180,15 @@ func (c *recvChan) accept(xseq uint32) bool {
 }
 
 // reactNode is one node's transport state. Every field is touched only in
-// the node's own event context.
+// the node's own event context. The per-peer rows are indexed by peer id
+// and allocated on the node's first send or first receive, so nodes that
+// never use a channel cost nothing; an unused entry reads zero.
 type reactNode struct {
 	rng      *xrand.RNG
-	nextSend map[int]uint32    // dst -> last channel sequence issued
-	out      map[uint64]*xmit  // (dst, xseq) -> outstanding transmission
-	recv     map[int]*recvChan // src -> receiver dedup state
-	suspect  map[int]sim.Time  // dst -> time the sender declared it suspect
-	stats    FaultStats        // event-context counters (summed by FaultStats)
+	nextSend []uint32         // dst -> last channel sequence issued (0: none)
+	recv     []recvChan       // src -> receiver dedup state
+	suspect  map[int]sim.Time // dst -> time the sender declared it suspect
+	stats    FaultStats       // event-context counters (summed by FaultStats)
 }
 
 // reactState is the network's reactive-mode state; nil in oracle mode.
@@ -187,13 +198,15 @@ type reactState struct {
 	nodes  []reactNode
 	giveUp [256]GiveUpHandler
 	base   FaultStats // restored-snapshot baseline of the folded node stats
-	free   []*xmit
+
+	// xs is the slab of outstanding-transmission records, indexed by
+	// xmit.id; xfree holds the indices of released records.
+	xs    []*xmit
+	xfree []uint32
 }
 
-// xkey packs a channel identity (destination, channel sequence).
-func xkey(dst int, xseq uint32) uint64 {
-	return uint64(uint32(dst))<<32 | uint64(xseq)
-}
+// outstanding returns the number of live transmission records.
+func (r *reactState) outstanding() int { return len(r.xs) - len(r.xfree) }
 
 // reactNodeSeed derives node's private RNG stream from the transport seed.
 func reactNodeSeed(seed uint64, node int) uint64 {
@@ -217,12 +230,7 @@ func (nw *Network) EnableReactive(p ReactParams, seed uint64) error {
 	}
 	r := &reactState{p: p, seed: seed, nodes: make([]reactNode, nw.T.N())}
 	for i := range r.nodes {
-		n := &r.nodes[i]
-		n.rng = xrand.New(reactNodeSeed(seed, i))
-		n.nextSend = make(map[int]uint32)
-		n.out = make(map[uint64]*xmit)
-		n.recv = make(map[int]*recvChan)
-		n.suspect = make(map[int]sim.Time)
+		r.nodes[i].rng = xrand.New(reactNodeSeed(seed, i))
 	}
 	nw.react = r
 	nw.reactTimeoutFn = nw.reactTimeout
@@ -281,18 +289,40 @@ func (nw *Network) ReactReseed(seed uint64) {
 	}
 }
 
+// acquireXmit returns a released slab record, or a fresh one.
 func (r *reactState) acquireXmit() *xmit {
-	if n := len(r.free); n > 0 {
-		x := r.free[n-1]
-		r.free = r.free[:n-1]
-		return x
+	if n := len(r.xfree); n > 0 {
+		id := r.xfree[n-1]
+		r.xfree = r.xfree[:n-1]
+		return r.xs[id]
 	}
-	return &xmit{}
+	x := &xmit{id: uint32(len(r.xs))}
+	r.xs = append(r.xs, x)
+	return x
 }
 
+// releaseXmit retires x, keeping only its slab index.
 func (r *reactState) releaseXmit(x *xmit) {
-	*x = xmit{}
-	r.free = append(r.free, x)
+	*x = xmit{id: x.id}
+	r.xfree = append(r.xfree, x.id)
+}
+
+// sendRow returns the node's per-destination sequence row, allocating it
+// on the node's first send.
+func (r *reactState) sendRow(sn *reactNode) []uint32 {
+	if sn.nextSend == nil {
+		sn.nextSend = make([]uint32, len(r.nodes))
+	}
+	return sn.nextSend
+}
+
+// recvRow returns the node's per-source dedup row, allocating it on the
+// node's first receive.
+func (r *reactState) recvRow(dn *reactNode) []recvChan {
+	if dn.recv == nil {
+		dn.recv = make([]recvChan, len(r.nodes))
+	}
+	return dn.recv
 }
 
 // jitter draws the deterministic timeout jitter, uniform in [1, 1.25),
@@ -312,16 +342,17 @@ func (nw *Network) reactOnSend(m *Msg, depart sim.Time) {
 	}
 	r := nw.react
 	sn := &r.nodes[m.Src]
-	sn.nextSend[m.Dst]++
-	m.xseq = sn.nextSend[m.Dst]
+	row := r.sendRow(sn)
+	row[m.Dst]++
+	m.xseq = row[m.Dst]
 	m.xatt = 1
 	x := r.acquireXmit()
 	*x = xmit{
-		src: m.Src, dst: m.Dst, size: m.Size, kind: m.Kind, tag: m.Tag,
+		id: x.id, src: m.Src, dst: m.Dst, size: m.Size, kind: m.Kind, tag: m.Tag,
 		payload: m.Payload, xseq: m.xseq, attempt: 1,
 		delayUS: r.p.AckTimeoutUS, firstDepart: depart,
 	}
-	sn.out[xkey(m.Dst, m.xseq)] = x
+	m.xid = x.id
 	x.timer = nw.K.TimerAt(depart+x.delayUS*sn.jitter(), nw.reactTimeoutFn, x)
 }
 
@@ -341,6 +372,9 @@ func (nw *Network) reactTimeout(xi interface{}) {
 			sn.stats.Detected++
 			sn.stats.DetectUS += k.Now() - x.firstDepart
 			if _, ok := sn.suspect[x.dst]; !ok {
+				if sn.suspect == nil {
+					sn.suspect = make(map[int]sim.Time)
+				}
 				sn.suspect[x.dst] = k.Now()
 			}
 		}
@@ -354,13 +388,11 @@ func (nw *Network) reactTimeout(xi interface{}) {
 		}
 		switch action {
 		case GiveUpDrop:
-			delete(sn.out, xkey(x.dst, x.xseq))
 			r.releaseXmit(x)
 			return
 		case GiveUpRedirect:
 			sn.stats.Failovers++
 			src, size, kind, tag, payload := x.src, x.size, x.kind, x.tag, x.payload
-			delete(sn.out, xkey(x.dst, x.xseq))
 			r.releaseXmit(x)
 			m := nw.AcquireMsg()
 			m.Src, m.Dst, m.Size, m.Kind, m.Tag, m.Payload = src, newDst, size, kind, tag, payload
@@ -387,7 +419,7 @@ func (nw *Network) reactTimeout(xi interface{}) {
 	}
 	m := nw.AcquireMsg()
 	m.Src, m.Dst, m.Size, m.Kind, m.Tag, m.Payload = x.src, x.dst, x.size, x.kind, x.tag, x.payload
-	m.xseq, m.xatt = x.xseq, uint16(x.attempt)
+	m.xseq, m.xatt, m.xid = x.xseq, uint16(x.attempt), x.id
 	depart := nw.chargeSend(x.src)
 	x.timer = nw.K.TimerAt(depart+x.delayUS*sn.jitter(), nw.reactTimeoutFn, x)
 	nw.deliverAfterRoute(m, depart)
@@ -401,12 +433,7 @@ func (nw *Network) reactTimeout(xi interface{}) {
 func (nw *Network) reactAccept(m *Msg) bool {
 	r := nw.react
 	dn := &r.nodes[m.Dst]
-	ch := dn.recv[m.Src]
-	if ch == nil {
-		ch = &recvChan{}
-		dn.recv[m.Src] = ch
-	}
-	fresh := ch.accept(m.xseq)
+	fresh := r.recvRow(dn)[m.Src].accept(m.xseq)
 	if !fresh {
 		dn.stats.DupDrops++
 	}
@@ -414,7 +441,7 @@ func (nw *Network) reactAccept(m *Msg) bool {
 	dn.stats.AckBytes += TransportAckBytes
 	ack := nw.AcquireMsg()
 	ack.Src, ack.Dst, ack.Size, ack.Kind = m.Dst, m.Src, TransportAckBytes, KindTransportAck
-	ack.xseq, ack.xatt = m.xseq, m.xatt
+	ack.xseq, ack.xatt, ack.xid = m.xseq, m.xatt, m.xid
 	depart := nw.chargeSend(m.Dst)
 	nw.deliverAfterRoute(ack, depart)
 	return fresh
@@ -423,23 +450,31 @@ func (nw *Network) reactAccept(m *Msg) bool {
 // reactOnAck runs in the original sender's event context when an ack
 // arrives: cancel the retransmission timer, retire the record, account
 // false timeouts (retransmissions of attempts the receiver had already
-// seen) and clear the destination's suspect entry.
+// seen) and clear the destination's suspect entry. The ack names its
+// record by slab index; the record is taken only when its channel and
+// sequence match, which rejects duplicate acks of a retired record and
+// stale acks of a recycled slot alike (a sequence is issued once per
+// channel, and a released record's zero sequence matches nothing).
 func (nw *Network) reactOnAck(m *Msg) {
 	r := nw.react
-	sn := &r.nodes[m.Dst]
-	x := sn.out[xkey(m.Src, m.xseq)]
-	if x == nil {
+	if int(m.xid) >= len(r.xs) {
+		return
+	}
+	x := r.xs[m.xid]
+	if x.xseq != m.xseq || x.src != m.Dst || x.dst != m.Src {
 		return // duplicate ack for an already-retired record
 	}
+	sn := &r.nodes[m.Dst]
 	nw.K.CancelTimer(x.timer)
 	if a := int(m.xatt); a < x.attempt {
 		sn.stats.FalseTimeouts += uint64(x.attempt - a)
 	}
-	if t, ok := sn.suspect[m.Src]; ok {
-		sn.stats.Recovered++
-		sn.stats.RecoverUS += nw.K.Now() - t
-		delete(sn.suspect, m.Src)
+	if len(sn.suspect) > 0 {
+		if t, ok := sn.suspect[m.Src]; ok {
+			sn.stats.Recovered++
+			sn.stats.RecoverUS += nw.K.Now() - t
+			delete(sn.suspect, m.Src)
+		}
 	}
-	delete(sn.out, xkey(m.Src, m.xseq))
 	r.releaseXmit(x)
 }

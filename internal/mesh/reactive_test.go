@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -347,5 +348,158 @@ func TestEnableReactiveValidation(t *testing.T) {
 	}
 	if nw.ReactParams() != DefaultReactParams() {
 		t.Fatalf("ReactParams() = %+v", nw.ReactParams())
+	}
+}
+
+// TestReactiveStaleAckRecycledRecord: an ack names its outstanding record
+// by slab index, so a late duplicate ack can arrive after that slot was
+// recycled for another transmission. The duplicate must be rejected by
+// its channel: here it carries the same sequence number (1) as the
+// slot's new message, which goes to a different destination. Accepting
+// it would cancel the new message's retransmission timer while that
+// message is lost at a down node, so it would never be delivered.
+func TestReactiveStaleAckRecycledRecord(t *testing.T) {
+	// Timeout below the round trip: message 1 (0 -> 1) is retransmitted
+	// once, so node 1 acks twice. The first ack retires its record at
+	// t=560; message 2 (0 -> 2, sent at 600) takes the freed slot before
+	// the duplicate ack arrives. Node 2 is down until 3000.
+	sched := FaultSchedule{
+		{AtUS: 0, Kind: FaultNodeDown, A: 2},
+		{AtUS: 3000, Kind: FaultNodeUp, A: 2},
+	}
+	p := ReactParams{AckTimeoutUS: 250, MaxRetries: 100, Backoff: 1}
+	k, nw := reactiveNet(t, New(1, 3), sched, p)
+	got := map[int]int{}
+	nw.Handle(42, func(m *Msg) { got[m.Tag]++ })
+	k.At(0, func() { nw.Send(&Msg{Src: 0, Dst: 1, Size: 100, Kind: 42, Tag: 1}) })
+	k.At(600, func() {
+		if r := nw.react; r.outstanding() != 0 || len(r.xs) != 1 {
+			t.Errorf("at 600: %d live of %d records, want message 1 retired", r.outstanding(), len(r.xs))
+		}
+		nw.Send(&Msg{Src: 0, Dst: 2, Size: 10, Kind: 42, Tag: 2})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got[1] != 1 || got[2] != 1 {
+		t.Fatalf("deliveries %v, want each message once", got)
+	}
+	if s := nw.FaultStats(); s.DupDrops == 0 {
+		t.Fatal("DupDrops = 0, want message 1's retransmission deduplicated")
+	}
+	if n := k.PendingTimers(); n != 0 {
+		t.Fatalf("PendingTimers = %d after quiescence, want 0", n)
+	}
+	if r := nw.react; r.outstanding() != 0 || len(r.xs) != 1 {
+		t.Fatalf("%d live of %d records, want 0 of 1 (the slot was recycled)", r.outstanding(), len(r.xs))
+	}
+}
+
+// reactiveCapture runs a little traffic over a reactive 2x2 network and
+// returns its quiescent capture.
+func reactiveCapture(t *testing.T) *NetworkState {
+	t.Helper()
+	k, nw := reactiveNet(t, New(2, 2), nil, fastReact())
+	nw.Handle(42, func(m *Msg) {})
+	k.At(0, func() {
+		nw.Send(&Msg{Src: 0, Dst: 3, Size: 10, Kind: 42})
+		nw.Send(&Msg{Src: 0, Dst: 1, Size: 10, Kind: 42})
+		nw.Send(&Msg{Src: 2, Dst: 0, Size: 10, Kind: 42})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := nw.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestReactiveSnapshotRoundTrip: the dense per-peer rows capture in
+// canonical ascending-key form, and a restored network captures to the
+// identical wire form.
+func TestReactiveSnapshotRoundTrip(t *testing.T) {
+	st := reactiveCapture(t)
+	n0 := &st.react.nodes[0]
+	if !reflect.DeepEqual(n0.sendDst, []int{1, 3}) || !reflect.DeepEqual(n0.sendSeq, []uint32{1, 1}) {
+		t.Fatalf("node 0 send channels %v -> %v, want [1 3] -> [1 1]", n0.sendDst, n0.sendSeq)
+	}
+	if !reflect.DeepEqual(n0.recvSrc, []int{2}) || !reflect.DeepEqual(n0.recvFloor, []uint32{1}) {
+		t.Fatalf("node 0 receive channels %v -> %v, want [2] -> [1]", n0.recvSrc, n0.recvFloor)
+	}
+	back, err := st.Wire().State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, nw := reactiveNet(t, New(2, 2), nil, fastReact())
+	if err := nw.RestoreState(back); err != nil {
+		t.Fatal(err)
+	}
+	again, err := nw.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st.Wire(), again.Wire()) {
+		t.Fatalf("restore/capture changed the wire form:\n%+v\n%+v", st.Wire().React, again.Wire().React)
+	}
+}
+
+// TestReactiveStateRejectsBadKeys: reactive state arriving from outside —
+// a decoded wire form or a capture handed to RestoreState — is rejected
+// with an error when a per-peer key lies outside [0, N), repeats, or is
+// out of order, or when an entry holds a value no capture produces (it
+// would not survive a restore/capture round trip); nothing panics and a
+// rejected restore leaves the network untouched.
+func TestReactiveStateRejectsBadKeys(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(w *ReactNodeWire)
+		want string
+	}{
+		{"send dst = N", func(w *ReactNodeWire) { w.SendDst[1] = 4 }, "outside [0, 4)"},
+		{"send dst < 0", func(w *ReactNodeWire) { w.SendDst[0] = -1 }, "outside [0, 4)"},
+		{"recv src = N", func(w *ReactNodeWire) { w.RecvSrc[0] = 4 }, "outside [0, 4)"},
+		{"susp dst = N", func(w *ReactNodeWire) {
+			w.SuspDst, w.SuspAt = []int{4}, []sim.Time{1}
+		}, "outside [0, 4)"},
+		{"send not ascending", func(w *ReactNodeWire) { w.SendDst[0], w.SendDst[1] = 3, 1 }, "not ascending"},
+		{"susp not ascending", func(w *ReactNodeWire) {
+			w.SuspDst, w.SuspAt = []int{2, 1}, []sim.Time{1, 1}
+		}, "not ascending"},
+		{"send duplicate", func(w *ReactNodeWire) { w.SendDst[1] = 1 }, "duplicate peer 1"},
+		{"recv duplicate", func(w *ReactNodeWire) {
+			w.RecvSrc = append(w.RecvSrc, 2)
+			w.RecvFloor = append(w.RecvFloor, 1)
+			w.RecvSeen = append(w.RecvSeen, nil)
+		}, "duplicate peer 2"},
+		{"mismatched slices", func(w *ReactNodeWire) { w.SendSeq = w.SendSeq[:1] }, "mismatched"},
+		{"send sequence 0", func(w *ReactNodeWire) { w.SendSeq[0] = 0 }, "sequence 0"},
+		{"recv channel unused", func(w *ReactNodeWire) { w.RecvFloor[0] = 0 }, "delivered nothing"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := reactiveCapture(t).Wire()
+			tc.edit(&w.React.Nodes[0])
+			if _, err := w.State(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("wire State: err = %v, want mention of %q", err, tc.want)
+			}
+
+			// The same state handed straight to RestoreState.
+			st := reactiveCapture(t)
+			nc := &st.react.nodes[0]
+			rw := st.Wire().React.Nodes[0]
+			tc.edit(&rw)
+			nc.sendDst, nc.sendSeq = rw.SendDst, rw.SendSeq
+			nc.recvSrc, nc.recvFloor, nc.recvSeen = rw.RecvSrc, rw.RecvFloor, rw.RecvSeen
+			nc.suspDst, nc.suspAt = rw.SuspDst, rw.SuspAt
+			_, nw := reactiveNet(t, New(2, 2), nil, fastReact())
+			if err := nw.RestoreState(st); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RestoreState: err = %v, want mention of %q", err, tc.want)
+			}
+			if nw.react.nodes[0].nextSend != nil || nw.react.nodes[0].recv != nil {
+				t.Fatal("rejected restore wrote per-peer rows")
+			}
+		})
 	}
 }

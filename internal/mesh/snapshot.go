@@ -38,10 +38,13 @@ type NetworkState struct {
 	faultStats  FaultStats
 
 	// Reactive transport state (nil for oracle-mode captures): per-node
-	// jitter-RNG positions, channel sequence counters, receiver dedup
-	// state and suspect sets, plus the folded transport counters. No
-	// outstanding transmissions or timers exist at quiescence (a live
-	// record always holds a pending timer, which blocks the capture).
+	// jitter-RNG positions, the channels in use of the per-peer rows
+	// (sequence counters and receiver dedup state), suspect sets, plus
+	// the folded transport counters. No outstanding transmissions or
+	// timers exist at quiescence: a live record always holds a pending
+	// timer, which blocks the capture, and the capture checks the slab's
+	// outstanding-record count as a defence. The slab itself is not
+	// captured; a restored network starts with an empty one.
 	react *reactCapture
 }
 
@@ -51,8 +54,9 @@ type reactCapture struct {
 	nodes []reactNodeCap
 }
 
-// reactNodeCap is one node's transport state in canonical (sorted-key)
-// form, so captures of identical runs are identical.
+// reactNodeCap is one node's transport state in canonical form: parallel
+// key/value slices with keys ascending, holding only the channels in use,
+// so captures of identical runs are identical.
 type reactNodeCap struct {
 	rng       xrand.State
 	sendDst   []int
@@ -62,6 +66,60 @@ type reactNodeCap struct {
 	recvSeen  [][]uint32
 	suspDst   []int
 	suspAt    []sim.Time
+}
+
+// validate checks every node's capture against the node count: the keys
+// of each per-peer table must be peer ids in [0, N), strictly ascending,
+// with values a capture can produce. A snapshot read from disk crosses a
+// trust boundary; restoring an out-of-range key would index past the
+// transport's per-peer rows.
+func (rc *reactCapture) validate() error {
+	n := len(rc.nodes)
+	for i := range rc.nodes {
+		nc := &rc.nodes[i]
+		if len(nc.sendDst) != len(nc.sendSeq) ||
+			len(nc.recvSrc) != len(nc.recvFloor) || len(nc.recvSrc) != len(nc.recvSeen) ||
+			len(nc.suspDst) != len(nc.suspAt) {
+			return fmt.Errorf("mesh: reactive node %d has mismatched key/value slices", i)
+		}
+		if err := checkPeerKeys(nc.sendDst, n); err != nil {
+			return fmt.Errorf("mesh: reactive node %d send channels: %w", i, err)
+		}
+		if err := checkPeerKeys(nc.recvSrc, n); err != nil {
+			return fmt.Errorf("mesh: reactive node %d receive channels: %w", i, err)
+		}
+		if err := checkPeerKeys(nc.suspDst, n); err != nil {
+			return fmt.Errorf("mesh: reactive node %d suspects: %w", i, err)
+		}
+		for j, sq := range nc.sendSeq {
+			if sq == 0 {
+				return fmt.Errorf("mesh: reactive node %d send channel to %d has sequence 0", i, nc.sendDst[j])
+			}
+		}
+		for j, src := range nc.recvSrc {
+			if nc.recvFloor[j] == 0 && len(nc.recvSeen[j]) == 0 {
+				return fmt.Errorf("mesh: reactive node %d receive channel from %d has delivered nothing", i, src)
+			}
+		}
+	}
+	return nil
+}
+
+// checkPeerKeys reports the first key outside [0, n), duplicated, or out
+// of ascending order.
+func checkPeerKeys(keys []int, n int) error {
+	for j, k := range keys {
+		if k < 0 || k >= n {
+			return fmt.Errorf("peer %d outside [0, %d)", k, n)
+		}
+		if j > 0 && k == keys[j-1] {
+			return fmt.Errorf("duplicate peer %d", k)
+		}
+		if j > 0 && k < keys[j-1] {
+			return fmt.Errorf("peers not ascending (%d after %d)", k, keys[j-1])
+		}
+	}
+	return nil
 }
 
 // inboxState is one node's queued inbox messages, per tag in ascending tag
@@ -93,40 +151,36 @@ func (nw *Network) SnapshotState() (*NetworkState, error) {
 		st.faultStats = nw.faults.stats
 	}
 	if r := nw.react; r != nil {
+		if n := r.outstanding(); n > 0 {
+			// Unreachable at quiescence: every record holds a pending
+			// timer, which keeps the kernel busy. Defensive.
+			return nil, fmt.Errorf("mesh: %d outstanding transmissions", n)
+		}
 		rc := &reactCapture{stats: r.base, nodes: make([]reactNodeCap, len(r.nodes))}
 		for i := range r.nodes {
 			n := &r.nodes[i]
-			if len(n.out) > 0 {
-				// Unreachable at quiescence: every record holds a pending
-				// timer, which keeps the kernel busy. Defensive.
-				return nil, fmt.Errorf("mesh: node %d has %d outstanding transmissions", i, len(n.out))
-			}
 			rc.stats = rc.stats.add(n.stats)
 			nc := &rc.nodes[i]
 			nc.rng = n.rng.State()
-			nc.sendDst = make([]int, 0, len(n.nextSend))
-			for d := range n.nextSend {
-				nc.sendDst = append(nc.sendDst, d)
-			}
-			sort.Ints(nc.sendDst)
-			nc.sendSeq = make([]uint32, len(nc.sendDst))
-			for j, d := range nc.sendDst {
-				nc.sendSeq[j] = n.nextSend[d]
-			}
-			nc.recvSrc = make([]int, 0, len(n.recv))
-			for s := range n.recv {
-				nc.recvSrc = append(nc.recvSrc, s)
-			}
-			sort.Ints(nc.recvSrc)
-			nc.recvFloor = make([]uint32, len(nc.recvSrc))
-			nc.recvSeen = make([][]uint32, len(nc.recvSrc))
-			for j, s := range nc.recvSrc {
-				ch := n.recv[s]
-				nc.recvFloor[j] = ch.floor
-				for sq := range ch.seen {
-					nc.recvSeen[j] = append(nc.recvSeen[j], sq)
+			for d, sq := range n.nextSend {
+				if sq != 0 {
+					nc.sendDst = append(nc.sendDst, d)
+					nc.sendSeq = append(nc.sendSeq, sq)
 				}
-				sort.Slice(nc.recvSeen[j], func(a, b int) bool { return nc.recvSeen[j][a] < nc.recvSeen[j][b] })
+			}
+			for src := range n.recv {
+				ch := &n.recv[src]
+				if !ch.used() {
+					continue
+				}
+				var seen []uint32
+				for sq := range ch.seen {
+					seen = append(seen, sq)
+				}
+				sort.Slice(seen, func(a, b int) bool { return seen[a] < seen[b] })
+				nc.recvSrc = append(nc.recvSrc, src)
+				nc.recvFloor = append(nc.recvFloor, ch.floor)
+				nc.recvSeen = append(nc.recvSeen, seen)
 			}
 			nc.suspDst = make([]int, 0, len(n.suspect))
 			for d := range n.suspect {
@@ -184,8 +238,13 @@ func (nw *Network) RestoreState(st *NetworkState) error {
 	if (st.react != nil) != (nw.react != nil) {
 		return fmt.Errorf("mesh: snapshot and network disagree on reactive mode")
 	}
-	if st.react != nil && len(st.react.nodes) != len(nw.react.nodes) {
-		return fmt.Errorf("mesh: snapshot has reactive state for %d nodes, network has %d", len(st.react.nodes), len(nw.react.nodes))
+	if st.react != nil {
+		if len(st.react.nodes) != len(nw.react.nodes) {
+			return fmt.Errorf("mesh: snapshot has reactive state for %d nodes, network has %d", len(st.react.nodes), len(nw.react.nodes))
+		}
+		if err := st.react.validate(); err != nil {
+			return err
+		}
 	}
 	if nw.faults != nil {
 		nw.faults.resetTo(st.faultCursor)
@@ -199,25 +258,31 @@ func (nw *Network) RestoreState(st *NetworkState) error {
 			n := &r.nodes[i]
 			n.rng.SetState(nc.rng)
 			n.stats = FaultStats{} // folded into base at capture
-			n.nextSend = make(map[int]uint32, len(nc.sendDst))
-			for j, d := range nc.sendDst {
-				n.nextSend[d] = nc.sendSeq[j]
-			}
-			n.out = make(map[uint64]*xmit)
-			n.recv = make(map[int]*recvChan, len(nc.recvSrc))
-			for j, s := range nc.recvSrc {
-				ch := &recvChan{floor: nc.recvFloor[j]}
-				for _, sq := range nc.recvSeen[j] {
-					if ch.seen == nil {
-						ch.seen = make(map[uint32]struct{}, len(nc.recvSeen[j]))
-					}
-					ch.seen[sq] = struct{}{}
+			n.nextSend, n.recv, n.suspect = nil, nil, nil
+			if len(nc.sendDst) > 0 {
+				row := r.sendRow(n)
+				for j, d := range nc.sendDst {
+					row[d] = nc.sendSeq[j]
 				}
-				n.recv[s] = ch
 			}
-			n.suspect = make(map[int]sim.Time, len(nc.suspDst))
-			for j, d := range nc.suspDst {
-				n.suspect[d] = nc.suspAt[j]
+			if len(nc.recvSrc) > 0 {
+				row := r.recvRow(n)
+				for j, src := range nc.recvSrc {
+					ch := &row[src]
+					ch.floor = nc.recvFloor[j]
+					if len(nc.recvSeen[j]) > 0 {
+						ch.seen = make(map[uint32]struct{}, len(nc.recvSeen[j]))
+						for _, sq := range nc.recvSeen[j] {
+							ch.seen[sq] = struct{}{}
+						}
+					}
+				}
+			}
+			if len(nc.suspDst) > 0 {
+				n.suspect = make(map[int]sim.Time, len(nc.suspDst))
+				for j, d := range nc.suspDst {
+					n.suspect[d] = nc.suspAt[j]
+				}
 			}
 		}
 	}

@@ -148,11 +148,6 @@ func (w *NetworkWire) State() (*NetworkState, error) {
 		rc := &reactCapture{stats: rw.Stats, nodes: make([]reactNodeCap, len(rw.Nodes))}
 		for i := range rw.Nodes {
 			nw := &rw.Nodes[i]
-			if len(nw.SendDst) != len(nw.SendSeq) ||
-				len(nw.RecvSrc) != len(nw.RecvFloor) || len(nw.RecvSrc) != len(nw.RecvSeen) ||
-				len(nw.SuspDst) != len(nw.SuspAt) {
-				return nil, fmt.Errorf("mesh: wire reactive node %d has mismatched key/value slices", i)
-			}
 			rc.nodes[i] = reactNodeCap{
 				rng:       nw.RNG,
 				sendDst:   append([]int(nil), nw.SendDst...),
@@ -166,6 +161,9 @@ func (w *NetworkWire) State() (*NetworkState, error) {
 			for j, s := range nw.RecvSeen {
 				rc.nodes[i].recvSeen[j] = append([]uint32(nil), s...)
 			}
+		}
+		if err := rc.validate(); err != nil {
+			return nil, err
 		}
 		st.react = rc
 	}

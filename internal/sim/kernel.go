@@ -112,6 +112,9 @@ type Kernel struct {
 	// younger (higher seq) than every queued event of the same timestamp,
 	// so FIFO order is (t, seq) order and the heap's O(log n) sift is
 	// avoided entirely for the same-timestamp churn of the protocol layer.
+	// It is reset when it drains and compacted in sched when the
+	// consumed prefix dominates, so churn that never drains it stays
+	// bounded.
 	nowq     []event
 	nowqHead int
 }
@@ -206,6 +209,12 @@ func (k *Kernel) checkPast(t Time) {
 // comment.
 func (k *Kernel) sched(e event) {
 	if e.t == k.now {
+		if k.nowqHead >= compactMin && 2*k.nowqHead >= len(k.nowq) {
+			// Same-timestamp churn that never lets the FIFO drain:
+			// reclaim the consumed prefix (see ladderQueue.pushFront).
+			k.nowq = k.nowq[:copy(k.nowq, k.nowq[k.nowqHead:])]
+			k.nowqHead = 0
+		}
 		k.nowq = append(k.nowq, e)
 		return
 	}
@@ -259,12 +268,12 @@ func (k *Kernel) next() (event, bool) {
 			}
 			if reg == nil || ct < reg.t || (ct == reg.t && cs < reg.seq) {
 				if useTimer {
-					t := k.tq.popFront()
-					k.now = t.t
+					tk, fn, arg := k.tq.popFront()
+					k.now = tk.t
 					k.Stat.Events++
-					e := event{t: t.t, seq: t.seq}
+					e := event{t: tk.t, seq: tk.seq}
 					k.fold(&e)
-					t.fn(t.arg)
+					fn(arg)
 				} else {
 					e := k.lazyq.popFront()
 					k.now = e.t

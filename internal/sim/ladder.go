@@ -72,6 +72,10 @@ const (
 	lqFrontCap   = 32 // live front size beyond which a push spills it
 	lqMaxRungs   = 12 // depth cap; beyond it buckets are sorted as-is
 	lqSmallEpoch = 24 // epoch size at or below which insertion sort runs directly
+	// compactMin is the consumed-prefix length from which a FIFO consumed
+	// from its head (the ladder front, Kernel.nowq) is compacted once the
+	// prefix is also at least half the slice.
+	compactMin = 64
 )
 
 // lrung splits [start, end) into lqBuckets equal-width buckets. occ is
@@ -188,6 +192,14 @@ func (q *ladderQueue) pushFront(e event) {
 		q.push(e)
 		return
 	}
+	if q.fh >= compactMin && 2*q.fh >= len(q.front) {
+		// A front that never drains (pushes keep landing in it while
+		// pops consume it) would otherwise keep its consumed prefix
+		// forever: copy the live part down. The copy moves at most fh
+		// entries, so it is paid for by the fh pops before it.
+		q.front = q.front[:copy(q.front, q.front[q.fh:])]
+		q.fh = 0
+	}
 	// Binary search for the first element after e.
 	lo, hi := q.fh, len(q.front)
 	for lo < hi {
@@ -257,7 +269,8 @@ func (q *ladderQueue) peek() *event {
 }
 
 // pop removes and returns the minimum event. Consumed entries are left
-// in place until their backing is reused: an event holds no payload —
+// in place until their backing is reused or compacted away (pushFront):
+// an event holds no payload —
 // only a *Proc (alive via Kernel.procs regardless) or a payload-table
 // slot index — so stale copies retain nothing the GC could free.
 func (q *ladderQueue) pop() event {

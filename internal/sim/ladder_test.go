@@ -210,3 +210,64 @@ func FuzzQueueDifferential(f *testing.F) {
 		checkIdentical(t, ops)
 	})
 }
+
+// TestQueueFrontsStayBounded: a FIFO consumed from its head must not keep
+// its consumed prefix while it never drains. Two workloads keep one
+// structure non-empty for 10^5 events each: two same-timestamp chains
+// that never let Kernel.nowq drain, and two lazy-tier chains stepping
+// below a far-future sentinel, so the lazy ladder's sorted front always
+// holds the sentinel. Both capacities must stay small.
+func TestQueueFrontsStayBounded(t *testing.T) {
+	const events = 100_000
+	const maxCap = 1024
+
+	t.Run("nowq", func(t *testing.T) {
+		k := New()
+		n := 0
+		var step func()
+		step = func() {
+			if n++; n == events {
+				k.Stop()
+			}
+			k.At(k.Now(), step)
+		}
+		k.At(0, step)
+		k.At(0, step)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n != events {
+			t.Fatalf("ran %d steps, want %d", n, events)
+		}
+		if c := cap(k.nowq); c > maxCap {
+			t.Fatalf("cap(nowq) = %d after %d same-timestamp events, want <= %d", c, events, maxCap)
+		}
+	})
+
+	t.Run("ladder front", func(t *testing.T) {
+		k := New()
+		n := 0
+		var step func(interface{})
+		step = func(interface{}) {
+			if n++; n == events {
+				k.Stop()
+			}
+			k.AtLazyCall(k.Now()+1, step, nil)
+		}
+		k.AtLazyCall(1e12, func(interface{}) {}, nil)
+		k.AtLazyCall(1, step, nil)
+		k.AtLazyCall(1, step, nil)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n != events {
+			t.Fatalf("ran %d steps, want %d", n, events)
+		}
+		if len(k.lazyq.rungs) != 0 || len(k.lazyq.tail) != 0 {
+			t.Fatalf("lazy queue left its front: %d rungs, %d tail events", len(k.lazyq.rungs), len(k.lazyq.tail))
+		}
+		if c := cap(k.lazyq.front); c > maxCap {
+			t.Fatalf("cap(lazy front) = %d after %d events, want <= %d", c, events, maxCap)
+		}
+	})
+}

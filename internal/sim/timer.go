@@ -12,6 +12,13 @@ package sim
 // (the common case: almost every ack cancels one) fingerprint-identical
 // across fork/restore.
 //
+// The heap is 4-ary over 24-byte (t, seq, slot) keys; each timer's
+// callback and argument sit in side arrays indexed by slot, so a sift
+// touches only the keys. The reactive Barnes-Hut runs keep a few hundred
+// timers pending (up to about a thousand) and cancel a third to a half of
+// the ones they schedule; BenchmarkTimerChurn measures the heap at that
+// size.
+//
 // Like the lazy tier, timers execute inline at the loop's pop boundary and
 // can never be the event that resumes a process; callbacks must not block.
 
@@ -24,36 +31,49 @@ type TimerID struct {
 	gen  uint32
 }
 
-// timerEvent is one pending timer in the indexed heap.
-type timerEvent struct {
+// timerKey is one pending timer's heap entry: its (t, seq) position and
+// the slot that holds its callback. The callback and its argument live in
+// the queue's side arrays, so the entries the sifts move are 24 bytes.
+type timerKey struct {
 	t    Time
 	seq  uint64
-	fn   func(interface{})
-	arg  interface{}
 	slot int32
 }
 
-// timerQueue is a binary min-heap by (t, seq) with a slot→position index,
-// so removal by TimerID is O(log n) without tombstones.
+func (a *timerKey) before(b *timerKey) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return a.seq < b.seq
+}
+
+// timerQueue is a 4-ary min-heap of timerKeys by (t, seq) with a
+// slot→position index, so removal by TimerID is O(log n) without
+// tombstones. Per-slot side arrays hold each timer's callback and
+// argument and the slot's generation. Sifts move a hole instead of
+// swapping, writing each displaced entry and its index once.
 type timerQueue struct {
-	h    []timerEvent
+	h    []timerKey
 	pos  []int32 // slot -> heap index, -1 when inactive
 	gen  []uint32
+	fn   []func(interface{})
+	arg  []interface{}
 	free []int32
 }
 
 func (q *timerQueue) len() int { return len(q.h) }
 
-func (q *timerQueue) peek() *timerEvent {
+func (q *timerQueue) peek() *timerKey {
 	if len(q.h) == 0 {
 		return nil
 	}
 	return &q.h[0]
 }
 
-// push schedules e and returns its TimerID. The generation is bumped at
-// slot reuse, invalidating every ID issued for the slot's prior lives.
-func (q *timerQueue) push(e timerEvent) TimerID {
+// push schedules fn(arg) at (t, seq) and returns its TimerID. The
+// generation is bumped at slot release, invalidating every ID issued for
+// the slot's prior lives.
+func (q *timerQueue) push(t Time, seq uint64, fn func(interface{}), arg interface{}) TimerID {
 	var slot int32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
@@ -62,29 +82,21 @@ func (q *timerQueue) push(e timerEvent) TimerID {
 		slot = int32(len(q.pos))
 		q.pos = append(q.pos, -1)
 		q.gen = append(q.gen, 1)
+		q.fn = append(q.fn, nil)
+		q.arg = append(q.arg, nil)
 	}
-	e.slot = slot
-	q.h = append(q.h, e)
-	q.pos[slot] = int32(len(q.h) - 1)
-	q.siftUp(len(q.h) - 1)
+	q.fn[slot], q.arg[slot] = fn, arg
+	q.h = append(q.h, timerKey{})
+	q.siftUp(len(q.h)-1, timerKey{t: t, seq: seq, slot: slot})
 	return TimerID{slot: slot, gen: q.gen[slot]}
 }
 
-// popFront removes and returns the earliest timer.
-func (q *timerQueue) popFront() timerEvent {
-	e := q.h[0]
-	q.release(e.slot)
-	last := len(q.h) - 1
-	if last > 0 {
-		q.h[0] = q.h[last]
-		q.pos[q.h[0].slot] = 0
-	}
-	q.h[last] = timerEvent{} // drop fn/arg references
-	q.h = q.h[:last]
-	if last > 0 {
-		q.siftDown(0)
-	}
-	return e
+// popFront removes the earliest timer and returns its key and callback.
+func (q *timerQueue) popFront() (timerKey, func(interface{}), interface{}) {
+	k := q.h[0]
+	fn, arg := q.release(k.slot)
+	q.removeAt(0)
+	return k, fn, arg
 }
 
 // remove cancels the timer identified by id; false when the id is stale.
@@ -97,68 +109,83 @@ func (q *timerQueue) remove(id TimerID) bool {
 		return false
 	}
 	q.release(id.slot)
-	last := len(q.h) - 1
-	if i < last {
-		q.h[i] = q.h[last]
-		q.pos[q.h[i].slot] = int32(i)
-	}
-	q.h[last] = timerEvent{}
-	q.h = q.h[:last]
-	if i < last {
-		q.siftDown(i)
-		q.siftUp(i)
-	}
+	q.removeAt(i)
 	return true
 }
 
-// release retires a slot: bump the generation, mark inactive, recycle.
-func (q *timerQueue) release(slot int32) {
+// removeAt deletes heap entry i (its slot already released) by sifting
+// the last entry into the hole from i.
+func (q *timerQueue) removeAt(i int) {
+	last := len(q.h) - 1
+	k := q.h[last]
+	q.h = q.h[:last]
+	if i == last {
+		return
+	}
+	if i > 0 && k.before(&q.h[(i-1)>>2]) {
+		q.siftUp(i, k)
+	} else {
+		q.siftDown(i, k)
+	}
+}
+
+// release retires a slot — bump the generation, mark it inactive, drop
+// its callback references, recycle it — and returns the callback.
+func (q *timerQueue) release(slot int32) (func(interface{}), interface{}) {
+	fn, arg := q.fn[slot], q.arg[slot]
+	q.fn[slot], q.arg[slot] = nil, nil
 	q.pos[slot] = -1
 	q.gen[slot]++
 	q.free = append(q.free, slot)
+	return fn, arg
 }
 
-func (q *timerQueue) less(i, j int) bool {
-	a, b := &q.h[i], &q.h[j]
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
-}
-
-func (q *timerQueue) swap(i, j int) {
-	q.h[i], q.h[j] = q.h[j], q.h[i]
-	q.pos[q.h[i].slot] = int32(i)
-	q.pos[q.h[j].slot] = int32(j)
-}
-
-func (q *timerQueue) siftUp(i int) {
+// siftUp places k into the hole at i, moving parents down while k
+// precedes them.
+func (q *timerQueue) siftUp(i int, k timerKey) {
+	h := q.h
 	for i > 0 {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			return
+		p := (i - 1) >> 2
+		if !k.before(&h[p]) {
+			break
 		}
-		q.swap(i, p)
+		h[i] = h[p]
+		q.pos[h[i].slot] = int32(i)
 		i = p
 	}
+	h[i] = k
+	q.pos[k.slot] = int32(i)
 }
 
-func (q *timerQueue) siftDown(i int) {
-	n := len(q.h)
+// siftDown places k into the hole at i, moving the least child up while
+// it precedes k.
+func (q *timerQueue) siftDown(i int, k timerKey) {
+	h := q.h
+	n := len(h)
 	for {
-		c := 2*i + 1
+		c := i<<2 + 1
 		if c >= n {
-			return
+			break
 		}
-		if r := c + 1; r < n && q.less(r, c) {
-			c = r
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
 		}
-		if !q.less(c, i) {
-			return
+		for j := c + 1; j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
 		}
-		q.swap(i, c)
-		i = c
+		if !h[m].before(&k) {
+			break
+		}
+		h[i] = h[m]
+		q.pos[h[i].slot] = int32(i)
+		i = m
 	}
+	h[i] = k
+	q.pos[k.slot] = int32(i)
 }
 
 // TimerAt schedules fn(arg) as a cancelable timeout at absolute time t and
@@ -170,7 +197,7 @@ func (q *timerQueue) siftDown(i int) {
 // number stays consumed, which both execution modes agree on).
 func (k *Kernel) TimerAt(t Time, fn func(interface{}), arg interface{}) TimerID {
 	k.checkPast(t)
-	return k.tq.push(timerEvent{t: t, seq: k.allocSeq(), fn: fn, arg: arg})
+	return k.tq.push(t, k.allocSeq(), fn, arg)
 }
 
 // CancelTimer revokes a pending timer. It returns false when the timer

@@ -203,3 +203,86 @@ func TestTimerHeapStress(t *testing.T) {
 		t.Fatalf("PendingTimers after run = %d, want 0", k.PendingTimers())
 	}
 }
+
+// FuzzTimerDifferential drives the timer heap with an arbitrary
+// interleaving of pushes (at colliding timestamps), cancels of live and of
+// stale IDs, and pops, and checks every result against a sorted reference
+// model. Pops and cancels free slots that later pushes reuse, so the
+// generation check on stale IDs is exercised on recycled slots. The seed
+// corpus (f.Add and testdata/fuzz) runs on every plain `go test`.
+func FuzzTimerDifferential(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 3, 1, 0, 2, 0, 3, 3})
+	f.Add([]byte{0, 4, 8, 12, 16, 1, 5, 2, 6, 0, 0, 3, 7, 11})
+	f.Add([]byte("push-cancel-pop-reuse-timer-heap"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		type ref struct {
+			t   Time
+			seq uint64
+			id  TimerID
+		}
+		var q timerQueue
+		var model []ref // sorted by (t, seq)
+		var stale []TimerID
+		var seq uint64
+		now := Time(0)
+		for i, b := range data {
+			switch b % 4 {
+			case 0: // push at one of a few instants: heavy collisions
+				seq++
+				at := now + Time(b>>2%4)
+				id := q.push(at, seq, nil, int(seq))
+				j := sort.Search(len(model), func(j int) bool {
+					return model[j].t > at || (model[j].t == at && model[j].seq > seq)
+				})
+				model = append(model, ref{})
+				copy(model[j+1:], model[j:])
+				model[j] = ref{at, seq, id}
+			case 1: // cancel a live timer
+				if len(model) == 0 {
+					continue
+				}
+				j := int(b>>2) % len(model)
+				if !q.remove(model[j].id) {
+					t.Fatalf("op %d: cancel of live timer %+v failed", i, model[j])
+				}
+				stale = append(stale, model[j].id)
+				model = append(model[:j], model[j+1:]...)
+			case 2: // cancel a stale ID: must report false and change nothing
+				if len(stale) == 0 {
+					continue
+				}
+				if q.remove(stale[int(b>>2)%len(stale)]) {
+					t.Fatalf("op %d: a stale ID canceled a timer", i)
+				}
+			case 3: // pop the earliest timer
+				if len(model) == 0 {
+					if q.peek() != nil {
+						t.Fatalf("op %d: empty model, queue has %d timers", i, q.len())
+					}
+					continue
+				}
+				k, _, a := q.popFront()
+				want := model[0]
+				model = model[1:]
+				if k.t != want.t || k.seq != want.seq || a != int(want.seq) {
+					t.Fatalf("op %d: popped (%v, %d, arg %v), want (%v, %d)", i, k.t, k.seq, a, want.t, want.seq)
+				}
+				now = k.t
+				stale = append(stale, want.id)
+			}
+			if q.len() != len(model) {
+				t.Fatalf("op %d: queue has %d timers, model %d", i, q.len(), len(model))
+			}
+		}
+		for len(model) > 0 {
+			k, _, _ := q.popFront()
+			if k.seq != model[0].seq {
+				t.Fatalf("drain: popped seq %d, want %d", k.seq, model[0].seq)
+			}
+			model = model[1:]
+		}
+		if q.len() != 0 {
+			t.Fatalf("drained queue has %d timers", q.len())
+		}
+	})
+}

@@ -8,7 +8,9 @@
 package snapstore_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -16,6 +18,7 @@ import (
 	"testing"
 
 	"diva"
+	"diva/internal/core"
 	"diva/snapstore"
 	"diva/spec"
 )
@@ -329,5 +332,88 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 	if entries[0].Spec.Workload.Name != "matmul" {
 		t.Errorf("List entry spec lost the workload: %+v", entries[0].Spec)
+	}
+}
+
+// TestLoadRejectsBadReactiveState: a snapshot file whose checksum and
+// format are intact but whose reactive transport state names a peer
+// outside the machine is rejected by Load with an error — the decoded
+// state never reaches the transport's per-peer rows, so nothing panics.
+func TestLoadRejectsBadReactiveState(t *testing.T) {
+	sp := machineSpec("mesh", "at4", 4, 4)
+	sp.Recovery = spec.RecoveryReactive
+	sp.Workload = spec.Workload{Name: "matmul", Block: 64, Seed: 1}
+	m, warm, err := diva.FromSpec(sp, diva.WithConcurrent(true))
+	if err != nil {
+		t.Fatalf("FromSpec: %v", err)
+	}
+	mustRun(t, m, warm)
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	dir := t.TempDir()
+	st, err := snapstore.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	handle := snapstore.Handle(sp)
+	if err := st.Save(handle, sp, snap); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	path := filepath.Join(dir, handle+".snap")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Split the file: magic, length-prefixed spec, length-prefixed gob
+	// snapshot, checksum.
+	const magicLen = 8
+	body := data[magicLen : len(data)-8]
+	n, k := binary.Uvarint(body)
+	specEnd := k + int(n)
+	n, k = binary.Uvarint(body[specEnd:])
+	blob := body[specEnd+k : specEnd+k+int(n)]
+
+	var w core.SnapshotWire
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&w); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if w.Net == nil || w.Net.React == nil {
+		t.Fatal("reactive snapshot has no transport state")
+	}
+	node := -1
+	for i, nw := range w.Net.React.Nodes {
+		if len(nw.SendDst) > 0 {
+			node = i
+			break
+		}
+	}
+	if node < 0 {
+		t.Fatal("no node has a send channel")
+	}
+	w.Net.React.Nodes[node].SendDst[0] = 16 // the machine has nodes 0..15
+	var nb bytes.Buffer
+	if err := gob.NewEncoder(&nb).Encode(&w); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+
+	var out bytes.Buffer
+	out.Write(data[:magicLen])
+	out.Write(body[:specEnd])
+	var uv [binary.MaxVarintLen64]byte
+	out.Write(uv[:binary.PutUvarint(uv[:], uint64(nb.Len()))])
+	out.Write(nb.Bytes())
+	h := fnv.New64a()
+	h.Write(out.Bytes())
+	var sum [8]byte
+	binary.BigEndian.PutUint64(sum[:], h.Sum64())
+	out.Write(sum[:])
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Load(handle); err == nil || !strings.Contains(err.Error(), "outside [0, 16)") {
+		t.Fatalf("Load of an out-of-range peer: err = %v, want a peer range error", err)
 	}
 }
